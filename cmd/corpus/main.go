@@ -209,8 +209,9 @@ func main() {
 // cost, so the end-of-run summary surfaces how often it was reused.
 func cacheSummary() string {
 	snap := obs.Default().Snapshot()
-	return fmt.Sprintf("baseline cache: %d hits, %d misses, %d evictions (%d detailed references computed)",
+	return fmt.Sprintf("baseline cache: %d hits (%d joined in flight), %d misses, %d evictions (%d detailed references computed)",
 		snap.Counters["engine.baseline.cache.hits"],
+		snap.Counters["engine.baseline.joined"],
 		snap.Counters["engine.baseline.cache.misses"],
 		snap.Counters["engine.baseline.cache.evictions"],
 		snap.Counters["engine.baseline.computed"])

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"taskpoint/internal/bench"
+	"taskpoint/internal/flight"
 	"taskpoint/internal/obs"
 	"taskpoint/internal/sim"
 	"taskpoint/internal/trace"
@@ -16,6 +17,7 @@ var (
 	metricCacheHits      = obs.Default().Counter("engine.baseline.cache.hits")
 	metricCacheMisses    = obs.Default().Counter("engine.baseline.cache.misses")
 	metricCacheEvictions = obs.Default().Counter("engine.baseline.cache.evictions")
+	metricBaselineJoined = obs.Default().Counter("engine.baseline.joined")
 )
 
 // progKey identifies a generated program: the same (workload, scale, seed)
@@ -69,24 +71,27 @@ func (k detKey) id() BaselineID {
 // it. One cache can back any number of Engines; it is safe for concurrent
 // use.
 //
-// Concurrent cells racing to fill the same slot may both compute it; the
-// first stored value wins and every later reader adopts it, so all
-// consumers observe one canonical result per key.
+// A lookup goes memory → tier → compute, the last two inside the key's
+// single flight: cells that need a value another cell is producing wait
+// for it instead of producing it again, so each value is computed once.
 type BaselineCache struct {
 	mu    sync.Mutex
 	progs map[progKey]*trace.Program
 	dets  map[detKey]*sim.Result
 
+	progFlights flight.Group[progKey, *trace.Program]
+	detFlights  flight.Group[detKey, *sim.Result]
+
 	// tier is the optional persistent layer under the in-memory maps:
-	// read-through on a memory miss, write-behind on a fresh store.
+	// read-through on a memory miss, write-behind on a fresh compute.
 	// pending tracks in-flight write-behind saves for Sync.
 	tier    BaselineTier
 	pending sync.WaitGroup
 
 	// Lookup tallies for the detailed-reference map (the expensive slot):
-	// one hit or miss per logical cell lookup, one eviction per detailed
-	// entry DropWorkload deletes.
-	hits, misses, evictions atomic.Int64
+	// one hit, join or miss per logical cell lookup, one eviction per
+	// detailed entry DropWorkload deletes.
+	hits, joined, misses, evictions atomic.Int64
 }
 
 // SetTier installs the persistent tier. Call it before the cache is
@@ -107,8 +112,12 @@ func (c *BaselineCache) Sync() { c.pending.Wait() }
 // behaviour — the numbers the sweep/corpus end-of-run summaries print,
 // since baseline computation dominates campaign cost.
 type CacheStats struct {
-	// Hits and Misses tally detailed-reference lookups by outcome.
+	// Hits and Misses tally detailed-reference lookups by outcome: a hit
+	// found the reference in memory or the tier, or joined its flight; a
+	// miss computed it.
 	Hits, Misses int64
+	// Joined counts the hits that waited on another cell's computation.
+	Joined int64
 	// Evictions counts detailed entries dropped by DropWorkload.
 	Evictions int64
 	// Entries is the current number of cached detailed references.
@@ -123,15 +132,11 @@ func (c *BaselineCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Joined:    c.joined.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   entries,
 	}
 }
-
-// noteHit and noteMiss record one logical detailed-reference lookup, in
-// both the per-cache tallies and the process-wide metrics.
-func (c *BaselineCache) noteHit()  { c.hits.Add(1); metricCacheHits.Inc() }
-func (c *BaselineCache) noteMiss() { c.misses.Add(1); metricCacheMisses.Inc() }
 
 // NewBaselineCache returns an empty cache.
 func NewBaselineCache() *BaselineCache {
@@ -144,28 +149,109 @@ func NewBaselineCache() *BaselineCache {
 // Program returns the (cached) generated program of a workload at the
 // given scale and seed.
 func (c *BaselineCache) Program(workload string, scale float64, seed uint64) (*trace.Program, error) {
-	key := progKey{workload: workload, scale: scale, seed: seed}
-	c.mu.Lock()
-	if p, ok := c.progs[key]; ok {
-		c.mu.Unlock()
+	return c.program(progKey{workload: workload, scale: scale, seed: seed}, flight.Block(nil, nil))
+}
+
+// program returns key's program from memory, or builds it in key's
+// flight; wait is how the caller waits on another caller's build.
+func (c *BaselineCache) program(key progKey, wait func(<-chan struct{}) error) (*trace.Program, error) {
+	if p := load(c, c.progs, key); p != nil {
 		return p, nil
 	}
-	c.mu.Unlock()
-	spec, err := bench.ByName(workload)
-	if err != nil {
-		return nil, err
+	p, _, err := c.progFlights.Do(key, wait, func() (*trace.Program, error) {
+		// An earlier flight may have landed between the miss and this one.
+		if p := load(c, c.progs, key); p != nil {
+			return p, nil
+		}
+		spec, err := bench.ByName(key.workload)
+		if err != nil {
+			return nil, err
+		}
+		p, err := spec.Build(key.scale, key.seed)
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		c.progs[key] = p
+		c.mu.Unlock()
+		return p, nil
+	})
+	return p, err
+}
+
+// lookup is how a detailed-reference lookup was served.
+type lookup int
+
+const (
+	lookupHit      lookup = iota // memory or tier
+	lookupJoined                 // waited on another caller's flight
+	lookupComputed               // this caller computed it
+)
+
+// detailed returns key's reference: from memory, else in key's flight
+// from memory again (an earlier flight may have landed), the tier, or
+// compute — a tier load is adopted without a write-behind echo; a fresh
+// result is written behind to the tier asynchronously (Sync waits for
+// it). wait is how the caller waits on another caller's flight.
+func (c *BaselineCache) detailed(key detKey, wait func(<-chan struct{}) error, compute func() (*sim.Result, error)) (*sim.Result, lookup, error) {
+	if res := load(c, c.dets, key); res != nil {
+		c.noteHit()
+		return res, lookupHit, nil
 	}
-	p, err := spec.Build(scale, seed)
-	if err != nil {
-		return nil, err
+	how := lookupHit
+	res, joined, err := c.detFlights.Do(key, wait, func() (*sim.Result, error) {
+		if res := load(c, c.dets, key); res != nil {
+			return res, nil
+		}
+		c.mu.Lock()
+		tier := c.tier
+		c.mu.Unlock()
+		res, ok := (*sim.Result)(nil), false
+		if tier != nil {
+			res, ok = tier.LoadBaseline(key.id())
+		}
+		if !ok {
+			how = lookupComputed
+			c.misses.Add(1)
+			metricCacheMisses.Inc()
+			var err error
+			if res, err = compute(); err != nil {
+				return nil, err
+			}
+			if tier != nil {
+				c.pending.Add(1)
+				go func() {
+					defer c.pending.Done()
+					tier.SaveBaseline(key.id(), res)
+				}()
+			}
+		}
+		c.mu.Lock()
+		c.dets[key] = res
+		c.mu.Unlock()
+		return res, nil
+	})
+	switch {
+	case err != nil:
+		return nil, how, err
+	case joined:
+		how = lookupJoined
+		c.joined.Add(1)
+		metricBaselineJoined.Inc()
 	}
+	if how != lookupComputed {
+		c.noteHit()
+	}
+	return res, how, nil
+}
+
+func (c *BaselineCache) noteHit() { c.hits.Add(1); metricCacheHits.Inc() }
+
+// load reads m[key] under the cache's lock.
+func load[K comparable, V any](c *BaselineCache, m map[K]V, key K) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.progs[key]; ok {
-		return prev, nil
-	}
-	c.progs[key] = p
-	return p, nil
+	return m[key]
 }
 
 // DropWorkload evicts every cached program and detailed reference of the
@@ -189,59 +275,4 @@ func (c *BaselineCache) DropWorkload(workload string) {
 			metricCacheEvictions.Inc()
 		}
 	}
-}
-
-// detailed returns the cached reference result for key, or nil. A memory
-// miss reads through the persistent tier (when one is installed): a tier
-// hit is adopted into memory — without a write-behind echo — and served
-// like any other hit.
-func (c *BaselineCache) detailed(key detKey) *sim.Result {
-	c.mu.Lock()
-	res, tier := c.dets[key], c.tier
-	c.mu.Unlock()
-	if res != nil || tier == nil {
-		return res
-	}
-	loaded, ok := tier.LoadBaseline(key.id())
-	if !ok {
-		return nil
-	}
-	return c.adopt(key, loaded)
-}
-
-// adopt records a reference loaded from the tier, returning the stored
-// canonical value (an earlier writer's result wins the race).
-func (c *BaselineCache) adopt(key detKey, res *sim.Result) *sim.Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.dets[key]; ok {
-		return prev
-	}
-	c.dets[key] = res
-	return res
-}
-
-// storeDetailed records a freshly computed reference, returning the
-// stored canonical value (an earlier writer's result wins the race). The
-// winning result is written behind to the persistent tier asynchronously;
-// Sync waits for those writes.
-func (c *BaselineCache) storeDetailed(key detKey, res *sim.Result) *sim.Result {
-	c.mu.Lock()
-	if prev, ok := c.dets[key]; ok {
-		c.mu.Unlock()
-		return prev
-	}
-	c.dets[key] = res
-	tier := c.tier
-	if tier != nil {
-		c.pending.Add(1)
-	}
-	c.mu.Unlock()
-	if tier != nil {
-		go func() {
-			defer c.pending.Done()
-			tier.SaveBaseline(key.id(), res)
-		}()
-	}
-	return res
 }

@@ -17,7 +17,6 @@ import (
 	"iter"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"taskpoint/internal/arch"
@@ -96,9 +95,7 @@ type Engine struct {
 	rec       *obs.Recorder
 	prof      *obs.SlowProfiler
 	cellFault func(key string) error
-
-	semOnce sync.Once
-	sem     chan struct{}
+	pool      *pool
 }
 
 // Engine metrics in the default registry: cell throughput and latency,
@@ -117,8 +114,8 @@ var (
 type Option func(*Engine)
 
 // WithWorkers bounds the number of concurrently running simulations
-// (minimum 1). It sizes both the RunAll worker pool and the semaphore
-// throttling concurrent Run callers.
+// (minimum 1): it sizes the engine's one worker pool, which RunAll
+// campaigns and concurrent Run callers share.
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -198,107 +195,99 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
+	e.pool = newPool(e.workers)
 	return e
 }
 
 // Workers returns the engine's worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
+// DispatchWindow is how many cells a campaign keeps in flight at once:
+// enough beyond the worker slots that a cell waiting on another cell's
+// computation leaves its slot to a cell with work to do, and few enough
+// that the reorder buffer of an ordered campaign stays small.
+func (e *Engine) DispatchWindow() int { return max(4*e.workers, 8) }
+
 // Cache returns the engine's baseline cache (shared or private).
 func (e *Engine) Cache() *BaselineCache { return e.cache }
-
-// acquire claims one simulation slot, honouring cancellation while
-// queued. The returned release must be called exactly once.
-func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
-	e.semOnce.Do(func() { e.sem = make(chan struct{}, e.workers) })
-	select {
-	case e.sem <- struct{}{}:
-		metricWorkersBusy.Add(1)
-		return func() { <-e.sem; metricWorkersBusy.Add(-1) }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
 
 // Baseline returns the (cached) detailed reference simulation of the
 // request's (workload, arch, threads, scale, seed) cell — the run every
 // sampled result is measured against. The request's policy and sampling
-// parameters are irrelevant and ignored.
+// parameters are irrelevant and ignored. Like a cell, it runs under a
+// worker slot of the engine's pool.
 func (e *Engine) Baseline(ctx context.Context, req Request) (*sim.Result, error) {
 	n := req.normalized()
 	a, err := arch.Parse(n.Arch)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	return e.baseline(ctx, n, a)
+	s := e.pool.join()
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.release()
+	res, _, err := e.detailedFor(ctx, s, detailedKey(n, a), func() (*sim.Engine, error) {
+		prog, err := e.cache.program(progKeyOf(n), s.wait(ctx))
+		if err != nil {
+			return nil, err
+		}
+		cfg, err := arch.ConfigFor(a, n.Threads)
+		if err != nil {
+			return nil, err
+		}
+		return sim.NewEngine(cfg, prog, arch.SimOptions(a, n.Seed, n.Threads)...)
+	})
+	return res, err
+}
+
+// progKeyOf is the cache identity of a cell's program.
+func progKeyOf(n Request) progKey {
+	return progKey{workload: n.Workload, scale: n.Scale, seed: n.Seed}
 }
 
 // detailedKey is the cache identity of a cell's detailed reference.
 func detailedKey(n Request, a arch.Arch) detKey {
-	return detKey{
-		progKey: progKey{workload: n.Workload, scale: n.Scale, seed: n.Seed},
-		arch:    string(a),
-		threads: n.Threads,
-	}
+	return detKey{progKey: progKeyOf(n), arch: string(a), threads: n.Threads}
 }
 
-// detailedFor returns the cached detailed reference for key, computing
-// it on the caller's simulation engine when absent. ran reports whether
-// se executed a run (the caller must Reset it before reusing it); the
-// returned result is always the cache's canonical value for the key.
-func (e *Engine) detailedFor(ctx context.Context, key detKey, se *sim.Engine) (res *sim.Result, ran bool, err error) {
-	if res := e.cache.detailed(key); res != nil {
-		e.cache.noteHit()
-		e.rec.Emit("cache.hit", obs.String("workload", key.workload), obs.String("arch", key.arch), obs.Int("threads", key.threads))
-		return res, false, nil
-	}
-	e.cache.noteMiss()
-	e.rec.Emit("cache.miss", obs.String("workload", key.workload), obs.String("arch", key.arch), obs.Int("threads", key.threads))
-	// The baseline span covers queue wait plus the detailed run; wall_ms on
-	// span.end is the pure simulation time — the quantity a later cache.hit
-	// on the same (workload, arch, threads) saves.
-	sp := obs.ChildSpan(ctx, e.rec, "baseline",
-		obs.String("workload", key.workload), obs.String("arch", key.arch), obs.Int("threads", key.threads))
-	release, err := e.acquire(ctx)
-	if err != nil {
-		sp.End(obs.String("status", "error"))
-		return nil, false, err
-	}
-	// The slot is released by defer so a panicking simulation unwinds
-	// through the engine's recovery boundary without leaking a worker.
-	func() {
-		defer release()
-		res, err = se.RunContext(ctx, sim.DetailedController{})
-	}()
-	if err != nil {
-		sp.End(obs.String("status", "error"))
-		return nil, false, err
-	}
-	metricBaselineRuns.Inc()
-	sp.End(obs.String("status", "ok"), obs.Float("wall_ms", float64(res.Wall.Microseconds())/1e3))
-	return e.cache.storeDetailed(key, res), true, nil
-}
-
-func (e *Engine) baseline(ctx context.Context, n Request, a arch.Arch) (*sim.Result, error) {
-	key := detailedKey(n, a)
-	if res := e.cache.detailed(key); res != nil {
-		e.cache.noteHit()
+// detailedFor returns key's detailed reference through the cache. When
+// the calling cell leads the key's flight, it builds a simulation engine
+// with newSim and runs the reference on it, returning that engine so the
+// cell can Reset and reuse it; otherwise the returned engine is nil. The
+// result is the cache's canonical value for the key either way.
+func (e *Engine) detailedFor(ctx context.Context, s *slot, key detKey, newSim func() (*sim.Engine, error)) (*sim.Result, *sim.Engine, error) {
+	ident := []obs.Field{obs.String("workload", key.workload), obs.String("arch", key.arch), obs.Int("threads", key.threads)}
+	var se *sim.Engine
+	res, how, err := e.cache.detailed(key, s.wait(ctx), func() (*sim.Result, error) {
+		e.rec.Emit("cache.miss", ident...)
+		// wall_ms on span.end is the pure simulation time — the quantity a
+		// later cache.hit on the same (workload, arch, threads) saves.
+		sp := obs.ChildSpan(ctx, e.rec, "baseline", ident...)
+		var err error
+		if se, err = newSim(); err != nil {
+			sp.End(obs.String("status", "error"))
+			return nil, err
+		}
+		res, err := se.RunContext(ctx, sim.DetailedController{})
+		if err != nil {
+			sp.End(obs.String("status", "error"))
+			return nil, err
+		}
+		metricBaselineRuns.Inc()
+		sp.End(obs.String("status", "ok"), obs.Float("wall_ms", float64(res.Wall.Microseconds())/1e3))
 		return res, nil
-	}
-	prog, err := e.cache.Program(n.Workload, n.Scale, n.Seed)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg, err := arch.ConfigFor(a, n.Threads)
-	if err != nil {
-		return nil, err
+	switch how {
+	case lookupHit:
+		e.rec.Emit("cache.hit", ident...)
+	case lookupJoined:
+		e.rec.Emit("cache.hit", append(ident, obs.Bool("joined", true))...)
 	}
-	se, err := sim.NewEngine(cfg, prog, arch.SimOptions(a, n.Seed, n.Threads)...)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := e.detailedFor(ctx, key, se)
-	return res, err
+	return res, se, nil
 }
 
 // Run executes one experiment cell: the detailed reference (cached), the
@@ -306,15 +295,32 @@ func (e *Engine) baseline(ctx context.Context, n Request, a arch.Arch) (*sim.Res
 // them. Cancellation of ctx abandons the cell mid-simulation with ctx's
 // error.
 //
-// The cell builds one simulation engine and reuses it (sim.Engine.Reset)
-// for the detailed reference and the sampled run, so the expensive
+// A cell takes one worker slot of the engine's pool before it starts and
+// holds it for all of its CPU work — program build, simulator set-up,
+// the detailed reference if it computes it, the sampled run — lending it
+// back only while it waits on another cell's computation of a program or
+// reference it needs. Slots go to the oldest cell first.
+//
+// A cell that computes the detailed reference reuses its simulation
+// engine (sim.Engine.Reset) for the sampled run, so the expensive
 // simulator state — cache arrays, core rings, scheduler storage — is
 // paid once per cell instead of once per run. Reset restores the engine
 // (including the native architecture's noise model) bit-for-bit, so the
 // results are identical to building two engines.
 func (e *Engine) Run(ctx context.Context, req Request) (Report, error) {
+	return e.runCell(ctx, req, e.pool.join())
+}
+
+// runCell is Run for a cell that has joined the pool: RunAll joins its
+// cells in request order, so a campaign's cells take slots oldest first.
+func (e *Engine) runCell(ctx context.Context, req Request, s *slot) (Report, error) {
 	n := req.normalized()
 	key := n.Key()
+	if err := s.acquire(ctx); err != nil {
+		metricCellsFailed.Inc()
+		return Report{}, err
+	}
+	defer s.release()
 	sp := obs.ChildSpan(ctx, e.rec, "cell",
 		obs.String("key", key),
 		obs.String("workload", n.Workload),
@@ -324,7 +330,7 @@ func (e *Engine) Run(ctx context.Context, req Request) (Report, error) {
 		obs.Uint64("seed", n.Seed))
 	ctx = obs.ContextWithSpan(ctx, sp)
 	cellDone := e.prof.CellStarted(key)
-	rep, err := e.runSafe(ctx, req, key)
+	rep, err := e.runSafe(ctx, req, key, s)
 	cellDone()
 	if err != nil {
 		metricCellsFailed.Inc()
@@ -349,7 +355,7 @@ func (e *Engine) Run(ctx context.Context, req Request) (Report, error) {
 // PanicError so the cell fails and the campaign continues. The cellFault
 // hook fires first, inside the boundary, so injected panics take the
 // same recovery path as organic ones.
-func (e *Engine) runSafe(ctx context.Context, req Request, key string) (rep Report, err error) {
+func (e *Engine) runSafe(ctx context.Context, req Request, key string, s *slot) (rep Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			metricCellsPanicked.Inc()
@@ -361,16 +367,16 @@ func (e *Engine) runSafe(ctx context.Context, req Request, key string) (rep Repo
 			return Report{}, ferr
 		}
 	}
-	return e.run(ctx, req)
+	return e.run(ctx, req, s)
 }
 
-func (e *Engine) run(ctx context.Context, req Request) (Report, error) {
+func (e *Engine) run(ctx context.Context, req Request, s *slot) (Report, error) {
 	n, policy, err := req.resolve()
 	if err != nil {
 		return Report{}, err
 	}
 	a := arch.Arch(n.Arch)
-	prog, err := e.cache.Program(n.Workload, n.Scale, n.Seed)
+	prog, err := e.cache.program(progKeyOf(n), s.wait(ctx))
 	if err != nil {
 		return Report{}, err
 	}
@@ -378,18 +384,20 @@ func (e *Engine) run(ctx context.Context, req Request) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	se, err := sim.NewEngine(cfg, prog, arch.SimOptions(a, n.Seed, n.Threads)...)
+	newSim := func() (*sim.Engine, error) {
+		return sim.NewEngine(cfg, prog, arch.SimOptions(a, n.Seed, n.Threads)...)
+	}
+	det, se, err := e.detailedFor(ctx, s, detailedKey(n, a), newSim)
 	if err != nil {
 		return Report{}, err
 	}
-	det, ran, err := e.detailedFor(ctx, detailedKey(n, a), se)
+	if se != nil {
+		err = se.Reset(nil)
+	} else {
+		se, err = newSim()
+	}
 	if err != nil {
 		return Report{}, err
-	}
-	if ran {
-		if err := se.Reset(nil); err != nil {
-			return Report{}, err
-		}
 	}
 	params := n.Params
 	strat, _ := policy.(confidencePolicy)
@@ -413,16 +421,7 @@ func (e *Engine) run(ctx context.Context, req Request) (Report, error) {
 	}); ok {
 		tr.SetTrace(e.rec, ssp)
 	}
-	release, err := e.acquire(ctx)
-	if err != nil {
-		ssp.End(obs.String("status", "error"))
-		return Report{}, err
-	}
-	var res *sim.Result
-	func() {
-		defer release()
-		res, err = se.RunContext(ctx, sampler)
-	}()
+	res, err := se.RunContext(ctx, sampler)
 	if err != nil {
 		ssp.End(obs.String("status", "error"))
 		return Report{}, err
@@ -461,10 +460,13 @@ func (e *Engine) run(ctx context.Context, req Request) (Report, error) {
 // promptly and every remaining request yields ctx's error. Breaking out
 // of the iteration cancels the outstanding work.
 //
-// Dispatch is throttled to a bounded window ahead of the yield frontier,
-// so the reorder buffer holds at most a few reports (with their full
-// per-instance results) even when one slow early cell stalls the ordered
-// output of a huge campaign.
+// Dispatch is throttled to a bounded window ahead of the yield frontier
+// (DispatchWindow), so the reorder buffer holds at most a few reports
+// (with their full per-instance results) even when one slow early cell
+// stalls the ordered output of a huge campaign. Every dispatched cell
+// runs at once, and the engine's worker pool decides which of them
+// simulates: the window's cells that wait on another cell's reference
+// hold no worker slot, so they never idle a core.
 func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, error] {
 	return func(yield func(Report, error) bool) {
 		ctx, cancel := context.WithCancel(ctx)
@@ -485,38 +487,18 @@ func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, e
 		// Buffered to the full request count so producers never block:
 		// an early break from the consumer cannot strand a goroutine.
 		out := make(chan outcome, len(reqs))
-		feed := make(chan int)
 		// Dispatch credits: one is taken per dispatched request and
 		// returned per yielded outcome, bounding dispatched-but-unyielded
-		// work (and with it the reorder buffer) to the window size while
-		// still keeping every worker busy.
-		window := 4 * e.workers
-		if window < 8 {
-			window = 8
-		}
+		// work (and with it the reorder buffer) to the window size.
+		window := e.DispatchWindow()
 		credits := make(chan struct{}, window)
-		for i := 0; i < window; i++ {
+		for range window {
 			credits <- struct{}{}
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < min(e.workers, len(reqs)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range feed {
-					rep, err := e.Run(ctx, reqs[idx])
-					if err != nil {
-						err = fmt.Errorf("engine: request %s: %w", reqs[idx].Key(), err)
-					}
-					out <- outcome{idx: idx, rep: rep, err: err}
-				}
-			}()
-		}
 		go func() {
-			defer close(feed)
-			for i := range reqs {
+			for i, req := range reqs {
 				// Undispatched requests fail with the cancellation error;
-				// dispatched ones report through their worker.
+				// dispatched ones report through their own goroutine.
 				select {
 				case <-credits:
 				case <-ctx.Done():
@@ -525,14 +507,16 @@ func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, e
 					}
 					return
 				}
-				select {
-				case feed <- i:
-				case <-ctx.Done():
-					for j := i; j < len(reqs); j++ {
-						out <- outcome{idx: j, err: fmt.Errorf("engine: request %s: %w", reqs[j].Key(), ctx.Err())}
+				// Cells join the pool in request order, so it serves the
+				// campaign's oldest cells first.
+				s := e.pool.join()
+				go func() {
+					rep, err := e.runCell(ctx, req, s)
+					if err != nil {
+						err = fmt.Errorf("engine: request %s: %w", req.Key(), err)
 					}
-					return
-				}
+					out <- outcome{idx: i, rep: rep, err: err}
+				}()
 			}
 		}()
 
@@ -567,6 +551,5 @@ func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, e
 				}
 			}
 		}
-		wg.Wait()
 	}
 }

@@ -138,28 +138,6 @@ func TestBaselineCacheSharedAcrossEngines(t *testing.T) {
 	}
 }
 
-// deterministic strips a report down to the fields that must be identical
-// across runs and worker counts (host wall clocks are not).
-type deterministic struct {
-	key                     string
-	errPct, sampledCycles   float64
-	detailedCycles          float64
-	detailFrac              float64
-	detailedStarted, fastSt int
-}
-
-func determ(rep Report) deterministic {
-	return deterministic{
-		key:             rep.Request.Key(),
-		errPct:          rep.ErrPct,
-		sampledCycles:   rep.Sampled.Cycles,
-		detailedCycles:  rep.Detailed.Cycles,
-		detailFrac:      rep.DetailFraction,
-		detailedStarted: rep.Sampler.DetailedStarted,
-		fastSt:          rep.Sampler.FastStarted,
-	}
-}
-
 func testGrid() []Request {
 	var reqs []Request
 	for _, wl := range []string{"cholesky", "vector-operation"} {
@@ -168,37 +146,6 @@ func testGrid() []Request {
 		}
 	}
 	return reqs
-}
-
-// TestRunAllDeterministicOrder: RunAll must yield identical reports in
-// identical (request) order at any worker count — the invariant record
-// streams and resume files build on. Run under -race in CI, this also
-// exercises the worker pool for data races.
-func TestRunAllDeterministicOrder(t *testing.T) {
-	reqs := testGrid()
-	collect := func(workers int) []deterministic {
-		var out []deterministic
-		for rep, err := range New(WithWorkers(workers)).RunAll(context.Background(), reqs) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, determ(rep))
-		}
-		return out
-	}
-	one := collect(1)
-	eight := collect(8)
-	if len(one) != len(reqs) || len(eight) != len(reqs) {
-		t.Fatalf("got %d and %d reports for %d requests", len(one), len(eight), len(reqs))
-	}
-	for i := range one {
-		if one[i].key != reqs[i].Key() {
-			t.Errorf("report %d out of order: %q, want %q", i, one[i].key, reqs[i].Key())
-		}
-		if one[i] != eight[i] {
-			t.Errorf("report %d differs between 1 and 8 workers:\n%+v\nvs\n%+v", i, one[i], eight[i])
-		}
-	}
 }
 
 // TestRunAllContinuesPastFailures: one bad cell yields its error in

@@ -153,6 +153,12 @@ func (c *campaign) incomplete() bool {
 func (c *campaign) append(ev Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.appendLocked(ev)
+}
+
+// appendLocked is append with c.mu held, so a state change and the event
+// announcing it become visible together.
+func (c *campaign) appendLocked(ev Event) {
 	ev.Campaign = c.id
 	ev.Seq = len(c.events)
 	ev.Time = time.Now().UTC().Format(time.RFC3339Nano)
@@ -188,24 +194,28 @@ func (c *campaign) cellError(cell string, err error) {
 	c.append(Event{Type: "cell.error", Cell: cell, Error: err.Error(), Done: done, Total: c.total})
 }
 
-// finish transitions the campaign to its terminal state and emits the
-// campaign.done event carrying the outcome tallies.
-func (c *campaign) finish() Counts {
+// result returns the terminal state and tallies of a campaign whose
+// cells have all resolved.
+func (c *campaign) result() (string, Counts) {
 	c.mu.Lock()
-	counts := c.counts
-	state := StateDone
-	if counts.Errors > 0 {
-		state = StateFailed
+	defer c.mu.Unlock()
+	if c.counts.Errors > 0 {
+		return StateFailed, c.counts
 	}
+	return StateDone, c.counts
+}
+
+// finish publishes the campaign's terminal state together with the
+// campaign.done event carrying the outcome tallies.
+func (c *campaign) finish(state string, counts Counts) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.state = state
-	done := c.done
-	c.mu.Unlock()
-	c.append(Event{
-		Type: "campaign.done", State: state, Done: done, Total: c.total,
+	c.appendLocked(Event{
+		Type: "campaign.done", State: state, Done: c.done, Total: c.total,
 		Computed: counts.Computed, StoreHits: counts.StoreHits,
 		Joined: counts.Joined, Errors: counts.Errors,
 	})
-	return counts
 }
 
 // interrupt transitions the campaign to the interrupted terminal state —
@@ -216,14 +226,12 @@ func (c *campaign) finish() Counts {
 // did finish is already in the store.
 func (c *campaign) interrupt() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.state = StateInterrupted
-	done := c.done
-	counts := c.counts
-	c.mu.Unlock()
-	c.append(Event{
-		Type: "campaign.interrupted", State: StateInterrupted, Done: done, Total: c.total,
-		Computed: counts.Computed, StoreHits: counts.StoreHits,
-		Joined: counts.Joined, Errors: counts.Errors,
+	c.appendLocked(Event{
+		Type: "campaign.interrupted", State: StateInterrupted, Done: c.done, Total: c.total,
+		Computed: c.counts.Computed, StoreHits: c.counts.StoreHits,
+		Joined: c.counts.Joined, Errors: c.counts.Errors,
 	})
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"taskpoint/internal/engine"
 	"taskpoint/internal/fault"
+	"taskpoint/internal/flight"
 	"taskpoint/internal/obs"
 	"taskpoint/internal/obs/query"
 	"taskpoint/internal/store"
@@ -50,7 +51,8 @@ type Config struct {
 	// it under the engine's baseline cache as the read-through/
 	// write-behind tier, and serves finished cell reports from it.
 	Store *store.DiskStore
-	// Workers bounds concurrent cell executions; <=1 selects the
+	// Workers sizes the engine's one worker pool, which bounds
+	// concurrent simulations across all campaigns; <=1 selects the
 	// engine's default (one per CPU).
 	Workers int
 	// TracePath, when set, mounts the /debug/obs/campaign report over
@@ -73,14 +75,6 @@ type Config struct {
 	// (submit, list, status, debug); the event stream is exempt. 0
 	// selects the default (30s), negative disables the deadline.
 	RequestTimeout time.Duration
-}
-
-// flight is one in-progress computation of a cell, shared by every
-// campaign that needs the same content address at the same time.
-type flight struct {
-	done chan struct{}
-	rec  *sweep.Record
-	err  error
 }
 
 // Server is the campaign service: submitted sweeps run through one
@@ -112,8 +106,9 @@ type Server struct {
 	nextSeq   int
 	finished  map[string]outcome // completed before this process started
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// reports runs each cell computation in its report address's single
+	// flight, shared by every campaign that needs the address at once.
+	reports flight.Group[string, *sweep.Record]
 }
 
 // New builds a Server over the given store and resumes any campaign a
@@ -167,7 +162,6 @@ func New(cfg Config) (*Server, error) {
 		drainCh:    make(chan struct{}),
 		campaigns:  map[string]*campaign{},
 		finished:   map[string]outcome{},
-		flights:    map[string]*flight{},
 	}
 	s.buildMux(cfg.TracePath)
 	if err := s.resume(); err != nil {
@@ -458,10 +452,12 @@ func (s *Server) queuedLocked() int {
 }
 
 // runCampaign waits for an admission slot, drives the campaign's cells
-// over a bounded worker group on the shared engine, then records the
-// durable outcome. A drain mid-campaign lets in-flight cells finish,
-// then interrupts; a hard Close abandons silently. Either way the
-// manifest without an outcome marker makes the next process resume.
+// on the shared engine, then records the durable outcome. It keeps the
+// engine's dispatch window of cells in flight; their simulations share
+// the engine's one worker pool with every other campaign's. A drain
+// mid-campaign lets in-flight cells finish, then interrupts; a hard
+// Close abandons silently. Either way the manifest without an outcome
+// marker makes the next process resume.
 func (s *Server) runCampaign(c *campaign, cells []sweep.Cell) {
 	defer s.wg.Done()
 	select {
@@ -475,14 +471,24 @@ func (s *Server) runCampaign(c *campaign, cells []sweep.Cell) {
 		return
 	}
 	c.start()
-	workers := s.eng.Workers()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, s.eng.DispatchWindow())
 	var cellWG sync.WaitGroup
 dispatch:
 	for _, cell := range cells {
+		select {
+		case <-s.drainCh:
+			break dispatch
+		case <-s.ctx.Done():
+			break dispatch
+		default:
+		}
+		// Store hits resolve here, in cell order, so a warm campaign's
+		// records stream out at the cost of one read each; only the cells
+		// left to compute take a goroutine.
+		req, addr, resolved := s.lookup(c, cell)
+		if resolved {
+			continue
+		}
 		select {
 		case sem <- struct{}{}:
 		case <-s.drainCh:
@@ -491,11 +497,11 @@ dispatch:
 			break dispatch
 		}
 		cellWG.Add(1)
-		go func(cell sweep.Cell) {
+		go func() {
 			defer cellWG.Done()
 			defer func() { <-sem }()
-			s.runCell(c, cell)
-		}(cell)
+			s.runCell(c, cell, req, addr)
+		}()
 	}
 	cellWG.Wait()
 	if s.ctx.Err() != nil && !s.draining() {
@@ -506,100 +512,103 @@ dispatch:
 		c.interrupt()
 		return
 	}
-	counts := s.finish(c)
-	// Crash point between the terminal event and the durable outcome
-	// marker: a process killed here restarts with the manifest present
-	// and the marker absent, so the campaign resumes — entirely from the
-	// store — instead of being forgotten or double-run.
-	s.faults.Crash("server.outcome")
-	if err := s.writeOutcome(c, counts); err != nil {
+	// The outcome marker is durable before campaign.done is visible, so a
+	// client acting on the event always finds the marker.
+	state, counts := c.result()
+	if err := s.writeOutcome(c, state, counts); err != nil {
 		fmt.Fprintf(os.Stderr, "server: recording outcome of %s: %v\n", c.id, err)
 	}
+	// Crash point between the durable outcome marker and the terminal
+	// event: a process killed here restarts with the marker present, so
+	// the campaign is history — its campaign.done served from the marker —
+	// and is neither forgotten nor run again.
+	s.faults.Crash("server.outcome")
+	c.finish(state, counts)
 }
 
-func (s *Server) finish(c *campaign) Counts { return c.finish() }
-
-// runCell resolves one cell: from the store if a previous campaign
-// already ran it, by joining another campaign's in-flight computation,
-// or by simulating it now — in which case the finished record is
-// persisted before anyone else can observe the flight as complete.
-func (s *Server) runCell(c *campaign, cell sweep.Cell) {
-	req := requestOf(cell, c.spec)
+// lookup addresses one cell and resolves it from the store if a
+// previous campaign already ran it. resolved reports that the cell is
+// done (or failed to address); otherwise runCell must compute it.
+func (s *Server) lookup(c *campaign, cell sweep.Cell) (req engine.Request, addr string, resolved bool) {
+	req = requestOf(cell, c.spec)
 	addr, err := store.ContentAddress(req)
 	if err != nil {
 		metricCellsFailed.Inc()
 		c.cellError(cell.Key(), err)
-		return
+		return req, "", true
 	}
-	if rec, err := s.backend.Report(addr); err == nil {
+	rec, err := s.backend.Report(addr)
+	if err == nil {
 		metricCellsStoreHits.Inc()
 		c.cellDone(cell.Key(), addr, "store", rec)
-		return
-	} else if !errors.Is(err, store.ErrNotFound) {
+		return req, addr, true
+	}
+	if !errors.Is(err, store.ErrNotFound) {
 		// A sick store must not fail the cell: count the error and treat
 		// it as a miss, computing the result without the store. While the
 		// breaker is open these misses are immediate (ErrUnavailable), so
 		// degraded mode costs deduplication, never correctness.
 		metricCellsStoreErrors.Inc()
 	}
+	return req, addr, false
+}
 
-	s.flightMu.Lock()
-	if f, ok := s.flights[addr]; ok {
-		s.flightMu.Unlock()
-		select {
-		case <-f.done:
-		case <-s.ctx.Done():
-			return
+// runCell resolves a cell the store missed: by joining another
+// campaign's in-flight computation of its address, or by simulating it
+// now — in which case the finished record is persisted before anyone
+// else can observe the flight as complete. A computation that fails is
+// never shared: the campaigns waiting on it retry, and one of them
+// computes the cell itself.
+func (s *Server) runCell(c *campaign, cell sweep.Cell, req engine.Request, addr string) {
+	source := "computed"
+	rec, joined, err := s.reports.Do(addr, flight.Block(s.ctx.Done(), s.ctx.Err), func() (*sweep.Record, error) {
+		rec, stored, err := s.compute(addr, req, cell, c.spec)
+		if stored {
+			source = "store"
 		}
-		if f.err != nil {
-			metricCellsFailed.Inc()
-			c.cellError(cell.Key(), f.err)
-			return
-		}
-		metricCellsJoined.Inc()
-		c.cellDone(cell.Key(), addr, "joined", f.rec)
-		return
+		return rec, err
+	})
+	if joined {
+		source = "joined"
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[addr] = f
-	s.flightMu.Unlock()
-
-	f.rec, f.err = s.compute(addr, req, cell, c.spec)
-	s.flightMu.Lock()
-	delete(s.flights, addr)
-	s.flightMu.Unlock()
-	close(f.done)
-
-	if f.err != nil {
+	switch {
+	case err != nil && s.ctx.Err() != nil:
+		return // hard stop: the campaign is abandoned and resumes later
+	case err != nil:
 		metricCellsFailed.Inc()
-		c.cellError(cell.Key(), f.err)
+		c.cellError(cell.Key(), err)
 		return
+	case source == "store":
+		metricCellsStoreHits.Inc()
+	case source == "joined":
+		metricCellsJoined.Inc()
+	default:
+		metricCellsComputed.Inc()
 	}
-	metricCellsComputed.Inc()
-	c.cellDone(cell.Key(), addr, "computed", f.rec)
+	c.cellDone(cell.Key(), addr, source, rec)
 }
 
 // compute simulates one cell and persists its record. The store is
-// re-checked first: between this campaign's store miss and its flight
-// registration, another campaign may have finished and unregistered the
-// same address — without the re-check that window would simulate the
-// cell twice.
-func (s *Server) compute(addr string, req engine.Request, cell sweep.Cell, spec sweep.Spec) (*sweep.Record, error) {
+// re-checked first (stored reports a hit): between this campaign's store
+// miss and its flight, another campaign may have finished the same
+// address and landed its flight — without the re-check that window would
+// simulate the cell twice.
+func (s *Server) compute(addr string, req engine.Request, cell sweep.Cell, spec sweep.Spec) (rec *sweep.Record, stored bool, err error) {
 	if rec, err := s.backend.Report(addr); err == nil {
-		return rec, nil
+		return rec, true, nil
 	}
 	rep, err := s.eng.Run(s.ctx, req)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	rec := sweep.RecordOf(cell, spec, rep)
-	if err := s.backend.PutReport(addr, &rec); err != nil {
+	r := sweep.RecordOf(cell, spec, rep)
+	if err := s.backend.PutReport(addr, &r); err != nil {
 		// The result is good; only its persistence failed. Count it,
 		// serve it, and let a later campaign recompute.
 		metricCellsStoreErrors.Inc()
 		fmt.Fprintf(os.Stderr, "server: persisting %s: %v\n", addr[:12], err)
 	}
-	return &rec, nil
+	return &r, false, nil
 }
 
 // requestOf maps one sweep cell to the engine request the server
@@ -632,10 +641,9 @@ func (s *Server) writeManifest(m manifest) error {
 	return atomicWrite(filepath.Join(dir, m.ID+".json"), b)
 }
 
-func (s *Server) writeOutcome(c *campaign, counts Counts) error {
-	sum := c.summary()
+func (s *Server) writeOutcome(c *campaign, state string, counts Counts) error {
 	b, err := json.MarshalIndent(outcome{
-		ID: c.id, State: sum.State, Total: c.total, Counts: counts,
+		ID: c.id, State: state, Total: c.total, Counts: counts,
 		Finished: time.Now().UTC(),
 	}, "", "  ")
 	if err != nil {
