@@ -9,8 +9,8 @@ import (
 	"taskpoint"
 )
 
-// TestNewStratifiedPolicy: the validated constructor mirrors
-// ParsePolicy's error path where the legacy StratifiedPolicy panics.
+// TestNewStratifiedPolicy: the constructor mirrors ParsePolicy's error
+// path for invalid budgets.
 func TestNewStratifiedPolicy(t *testing.T) {
 	pol, err := taskpoint.NewStratifiedPolicy(200)
 	if err != nil {
@@ -28,17 +28,6 @@ func TestNewStratifiedPolicy(t *testing.T) {
 			t.Errorf("budget %d returned a non-nil policy alongside the error", b)
 		}
 	}
-	// The deprecated form still works for valid budgets...
-	if got := taskpoint.StratifiedPolicy(200).Name(); got != "stratified(200)" {
-		t.Errorf("StratifiedPolicy(200).Name() = %q", got)
-	}
-	// ...and still panics on invalid ones (documented compatibility).
-	defer func() {
-		if recover() == nil {
-			t.Error("StratifiedPolicy(0) did not panic")
-		}
-	}()
-	taskpoint.StratifiedPolicy(0)
 }
 
 // TestErrUnknownArch: unknown architectures are distinguishable from

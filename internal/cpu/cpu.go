@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
 
 	"taskpoint/internal/trace"
 )
@@ -125,6 +126,17 @@ func (c *Core) Reset() {
 // while input-dependent types (whose segment parameters themselves vary
 // per instance) still diverge.
 //
+// Because the mix generator's seed depends on the type alone, every
+// instance of a type would re-draw one identical stream. Instead, the
+// first mixPrefixLen instructions' draws of each type are drawn once per
+// process (see typePrefix) and read by all its instances. This is exact
+// only when every instruction draws the same number of values, that is
+// when every segment of the instance has DepDist > 1: then instruction i
+// consumes exactly one ExpFloat64 and two draw53. Other instances, and
+// types outside [0, mixTypes), keep the live generator for the whole
+// instance. Past the prefix, the live generator continues from the state
+// the prefix ended in, so long instances stay exact too.
+//
 // The generator state is embedded by value (pcgRand reproduces
 // math/rand/v2's stream without the Source interface indirection), so
 // resetting a cursor for a new instance allocates nothing: engines keep
@@ -133,8 +145,9 @@ type Exec struct {
 	inst     *trace.Instance
 	segIdx   int
 	segDone  int64
-	mixRng   pcgRand // instruction classes + dependency distances
-	addrRng  pcgRand // memory addresses
+	prefix   *mixPrefix // the type's shared mix draws; nil draws live
+	mixRng   pcgRand    // instruction classes + dependency distances
+	addrRng  pcgRand    // memory addresses
 	memIdx   int64
 	chase    uint64
 	lastLoad float64 // completion time of the previous load (chase deps)
@@ -164,7 +177,11 @@ func (e *Exec) Reset(inst *trace.Instance) {
 	e.inst = inst
 	e.segIdx = 0
 	e.segDone = 0
-	e.mixRng.Seed(uint64(inst.Type)+0x9e3779b97f4a7c15, 0xd1b54a32d192ed03)
+	e.prefix = nil
+	seedMix(&e.mixRng, inst.Type)
+	if inst.Type >= 0 && inst.Type < mixTypes && fixedMixDraws(inst) {
+		e.prefix = typePrefix(inst.Type)
+	}
 	e.addrRng.Seed(inst.Seed, 0x2545f4914f6cdd1d)
 	e.memIdx = 0
 	e.chase = inst.Seed | 1
@@ -174,6 +191,72 @@ func (e *Exec) Reset(inst *trace.Instance) {
 	e.strideOff = 0
 	e.strideStep = 0
 	e.strideOK = false
+}
+
+// seedMix seeds r with type t's mix stream.
+func seedMix(r *pcgRand, t trace.TypeID) {
+	r.Seed(uint64(t)+0x9e3779b97f4a7c15, 0xd1b54a32d192ed03)
+}
+
+// fixedMixDraws reports whether every instruction of inst draws one
+// mixDraw from the mix stream: every segment draws the dependency
+// distance.
+func fixedMixDraws(inst *trace.Instance) bool {
+	for i := range inst.Segments {
+		if !(inst.Segments[i].DepDist > 1) {
+			return false
+		}
+	}
+	return true
+}
+
+const (
+	// mixPrefixLen is how many instructions' draws of each type's mix
+	// stream are shared, 384 KiB per type. A fixed cap keeps the table's
+	// memory a constant instead of growing with the longest instance.
+	mixPrefixLen = 1 << 14
+	// mixTypes bounds the task types that get a shared prefix; at most
+	// mixTypes × 384 KiB is ever drawn.
+	mixTypes = 64
+)
+
+// mixDraw is one instruction's draws from the mix stream, in draw order:
+// the dependency-distance exponential, the memory-class draw, and the
+// store draw (memory instructions) or floating-point draw (the rest).
+type mixDraw struct {
+	exp      float64
+	mem, sub uint64
+}
+
+// mixPrefix is one task type's shared draws and the generator state after
+// the last of them.
+type mixPrefix struct {
+	once  sync.Once
+	draws [mixPrefixLen]mixDraw
+	post  pcgRand
+}
+
+// mixPrefixes holds no pointers, so it lives outside the garbage-collected
+// heap and adds nothing to the collector's pacing; only the pages of the
+// types actually drawn become resident.
+var mixPrefixes [mixTypes]mixPrefix
+
+// typePrefix returns type t's shared mix draws, drawing them on first
+// use. They are read-only once published.
+func typePrefix(t trace.TypeID) *mixPrefix {
+	p := &mixPrefixes[t]
+	p.once.Do(func() {
+		var r pcgRand
+		seedMix(&r, t)
+		for i := range p.draws {
+			d := &p.draws[i]
+			d.exp = r.ExpFloat64()
+			d.mem = r.draw53()
+			d.sub = r.draw53()
+		}
+		p.post = r
+	})
+	return p
 }
 
 // Instance returns the instance being executed.
@@ -256,17 +339,38 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 		fpLat       = c.cfg.FPLat
 		storeLat    = c.cfg.StoreLat
 	)
+	// Instructions inside the type's shared prefix read their draws from
+	// it; the rest draw live, from where the prefix ended. Until the
+	// first live draw the live state is unused, so it is (re)loaded
+	// whenever this call may cross the end of the prefix.
+	var pre []mixDraw
+	if p := e.prefix; p != nil && e.retired <= mixPrefixLen {
+		pre = p.draws[e.retired:min(e.retired+n, mixPrefixLen)]
+		if e.retired+n > mixPrefixLen {
+			e.mixRng = p.post
+		}
+	}
 	k := int64(0)
 	for ; k < n; k++ {
 		if k > 0 && lastCommit >= deadline {
 			break
+		}
+		var draw mixDraw
+		if k < int64(len(pre)) {
+			draw = pre[k]
+		} else {
+			if depDist > 1 {
+				draw.exp = e.mixRng.ExpFloat64()
+			}
+			draw.mem = e.mixRng.draw53()
+			draw.sub = e.mixRng.draw53()
 		}
 		// Register dependency: distance with mean seg.DepDist, at
 		// least 1, bounded by the ROB window.
 		ready := 0.0
 		d := int64(1)
 		if depDist > 1 {
-			d += int64(e.mixRng.ExpFloat64() * (depDist - 1))
+			d += int64(draw.exp * (depDist - 1))
 		}
 		if d > rob-1 {
 			d = rob - 1
@@ -291,9 +395,9 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 
 		// Latency by instruction class.
 		var lat float64
-		if e.mixRng.draw53() < memThresh {
+		if draw.mem < memThresh {
 			addr := c.address(e, seg)
-			isStore := e.mixRng.draw53() < storeThresh
+			isStore := draw.sub < storeThresh
 			memLat := c.mem.Access(addr, isStore, atomic, issue)
 			if isStore && !atomic {
 				// The write buffer hides the store round trip.
@@ -308,7 +412,7 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 				lat = memLat
 				e.lastLoad = issue + lat
 			}
-		} else if e.mixRng.draw53() < fpThresh {
+		} else if draw.sub < fpThresh {
 			lat = fpLat
 		} else {
 			lat = intLat

@@ -347,14 +347,6 @@ func (d *Driver) Round(ctx context.Context, i int) ([]Finding, error) {
 		}
 	}()
 
-	// Warm the detailed reference once so the policy cells below share it
-	// instead of racing to compute it.
-	if _, err := d.eng.Baseline(ctx, engine.Request{
-		Workload: spec, Arch: d.cfg.Arch, Threads: d.cfg.Threads, Seed: seed,
-	}); err != nil {
-		return nil, fmt.Errorf("fuzz: round %d baseline: %w", i, err)
-	}
-
 	var findings []Finding
 	for _, policy := range d.cfg.Policies {
 		if err := ctx.Err(); err != nil {

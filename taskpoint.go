@@ -116,7 +116,7 @@ type (
 	// (budget, pilot size, banding, confidence level).
 	StratifiedConfig = strata.Config
 	// Stratified is the two-phase stratified sampling policy, as built
-	// by StratifiedPolicy or ParsePolicy("stratified(B)").
+	// by NewStratifiedPolicy or ParsePolicy("stratified(B)").
 	Stratified = strata.Stratified
 	// Scenario is a generated workload: a DAG pattern family plus its
 	// knobs, named by a "gen:family(knob=value,...)" spec string.
@@ -268,20 +268,13 @@ func LazyPolicy() Policy { return core.Lazy{} }
 // resampled whenever a thread retires p instances in fast-forward mode.
 func PeriodicPolicy(p int) Policy { return core.Periodic{P: p} }
 
-// StratifiedPolicy returns two-phase stratified sampling with a detailed
-// budget of b task instances: a pilot phase measures every stratum
-// (task type × size class × concurrency band), the remaining budget is
-// Neyman-allocated by stratum variance, and the run reports a confidence
-// interval. The policy is stateful: pass a fresh (or finished) value per
-// run. It panics on b < 1.
-//
-// Deprecated: use NewStratifiedPolicy, which reports invalid budgets as
-// an error instead of panicking (mirroring ParsePolicy's error path).
-func StratifiedPolicy(b int) Policy { return strata.MustNew(strata.DefaultConfig(b)) }
-
-// NewStratifiedPolicy is StratifiedPolicy with validation: it rejects
-// budgets below one task instance with an error, the same failure mode as
-// ParsePolicy("stratified(B)").
+// NewStratifiedPolicy returns two-phase stratified sampling with a
+// detailed budget of b task instances: a pilot phase measures every
+// stratum (task type × size class × concurrency band), the remaining
+// budget is Neyman-allocated by stratum variance, and the run reports a
+// confidence interval. The policy is stateful: pass a fresh (or finished)
+// value per run. It rejects budgets below one task instance with an
+// error, the same failure mode as ParsePolicy("stratified(B)").
 func NewStratifiedPolicy(b int) (Policy, error) {
 	pol, err := strata.New(strata.DefaultConfig(b))
 	if err != nil {
@@ -372,13 +365,6 @@ func SimulateStratified(cfg Config, prog *Program, params Params, b int) (*Resul
 	if err != nil {
 		return nil, SamplerStats{}, Confidence{}, err
 	}
-	return SimulateStratifiedWith(cfg, prog, params, pol)
-}
-
-// SimulateStratifiedWith is SimulateStratified for an existing stratified
-// policy value — e.g. one parsed from "stratified(B)" — preserving its
-// configuration (budget, pilot size, banding, confidence level).
-func SimulateStratifiedWith(cfg Config, prog *Program, params Params, pol *Stratified) (*Result, SamplerStats, Confidence, error) {
 	pol.Prescan(prog)
 	params.SizeClasses = true
 	sampler, err := core.New(params, pol)
