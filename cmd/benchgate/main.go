@@ -5,14 +5,15 @@
 // benchstat-style delta table, and exits non-zero when a gated metric
 // regresses beyond its noise threshold.
 //
-// Two gates exist because their noise characteristics differ:
+// Two kinds of gate exist because their noise characteristics differ:
 //
 //   - time (ns/op): meaningful only between runs on the same machine
 //     (CI measures the PR's merge base and head on one runner); gated at
 //     -threshold percent (default 10).
-//   - allocs/op: machine independent and nearly deterministic, so it is
-//     gated even against a committed baseline from another machine, at 5%
-//     plus a small absolute slack.
+//   - memory (allocs/op and B/op): machine independent and nearly
+//     deterministic, so both are gated even against a committed baseline
+//     from another machine, at -alloc-threshold percent (default 5) plus
+//     a small absolute slack (2 allocs, 64 bytes).
 //
 // Usage:
 //
@@ -24,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -134,8 +136,8 @@ func main() {
 		oldPath    = flag.String("old", "", "baseline run: go test -bench output or bench-report JSON")
 		newPath    = flag.String("new", "", "candidate run: go test -bench output or bench-report JSON")
 		threshold  = flag.Float64("threshold", 10, "allowed ns/op regression in percent (same-machine runs)")
-		allocSlack = flag.Float64("alloc-threshold", 5, "allowed allocs/op regression in percent (plus 2 allocs absolute)")
-		allocsOnly = flag.Bool("allocs-only", false, "gate only allocs/op (baseline from a different machine)")
+		allocSlack = flag.Float64("alloc-threshold", 5, "allowed allocs/op and B/op regression in percent (plus 2 allocs or 64 B absolute)")
+		allocsOnly = flag.Bool("allocs-only", false, "gate only allocs/op and B/op (baseline from a different machine)")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -151,6 +153,26 @@ func main() {
 		fatal(err)
 	}
 
+	failures := gate(os.Stdout, oldS, newS, *threshold, *allocSlack, *allocsOnly)
+	if len(failures) > 0 {
+		fmt.Fprintln(os.Stderr, "\nbenchgate: FAIL")
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, "  "+f)
+		}
+		os.Exit(1)
+	}
+	fmt.Println("\nbenchgate: ok")
+}
+
+// memSlack is the absolute slack of each memory gate on top of its
+// percentage: a couple of allocations, or the bytes of one small one.
+var memSlack = map[string]float64{"allocs/op": 2, "B/op": 64}
+
+// gate prints the delta table of newS against oldS to w and returns one
+// message per gated regression: ns/op beyond threshold percent (unless
+// allocsOnly), allocs/op and B/op beyond allocSlack percent plus memSlack,
+// and baseline benchmarks missing from the new run.
+func gate(w io.Writer, oldS, newS map[string]*sample, threshold, allocSlack float64, allocsOnly bool) []string {
 	names := make([]string, 0, len(newS))
 	for name := range newS {
 		names = append(names, name)
@@ -170,12 +192,12 @@ func main() {
 				"%s: present in baseline but missing from the new run (rename/removal must refresh the baseline)", name))
 		}
 	}
-	fmt.Printf("%-28s %-10s %14s %14s %8s\n", "benchmark", "unit", "old", "new", "delta")
+	fmt.Fprintf(w, "%-28s %-10s %14s %14s %8s\n", "benchmark", "unit", "old", "new", "delta")
 	for _, name := range names {
 		ns := newS[name]
 		os_, ok := oldS[name]
 		if !ok {
-			fmt.Printf("%-28s %-10s %14s %14s %8s\n", name, "-", "(new)", "-", "-")
+			fmt.Fprintf(w, "%-28s %-10s %14s %14s %8s\n", name, "-", "(new)", "-", "-")
 			continue
 		}
 		units := make([]string, 0, len(ns.values))
@@ -193,31 +215,24 @@ func main() {
 			if ov != 0 {
 				delta = (nv - ov) / ov * 100
 			}
-			fmt.Printf("%-28s %-10s %14.2f %14.2f %+7.1f%%\n", name, unit, ov, nv, delta)
+			fmt.Fprintf(w, "%-28s %-10s %14.2f %14.2f %+7.1f%%\n", name, unit, ov, nv, delta)
 			switch unit {
 			case "ns/op":
-				if !*allocsOnly && nv > ov*(1+*threshold/100) {
+				if !allocsOnly && nv > ov*(1+threshold/100) {
 					failures = append(failures, fmt.Sprintf(
 						"%s: ns/op regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
-						name, delta, ov, nv, *threshold))
+						name, delta, ov, nv, threshold))
 				}
-			case "allocs/op":
-				if nv > ov*(1+*allocSlack/100)+2 {
+			case "allocs/op", "B/op":
+				if nv > ov*(1+allocSlack/100)+memSlack[unit] {
 					failures = append(failures, fmt.Sprintf(
-						"%s: allocs/op regressed %.1f%% (%.0f -> %.0f)",
-						name, delta, ov, nv))
+						"%s: %s regressed %.1f%% (%.0f -> %.0f)",
+						name, unit, delta, ov, nv))
 				}
 			}
 		}
 	}
-	if len(failures) > 0 {
-		fmt.Fprintln(os.Stderr, "\nbenchgate: FAIL")
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("\nbenchgate: ok")
+	return failures
 }
 
 func fatal(err error) {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 const sampleOut = `
 goos: linux
@@ -56,5 +59,41 @@ func TestMedianEven(t *testing.T) {
 	s := &sample{values: map[string][]float64{"ns/op": {4, 1, 3, 2}}}
 	if med, _ := s.median("ns/op"); med != 2.5 {
 		t.Fatalf("median = %v, want 2.5", med)
+	}
+}
+
+// TestGateBytesPerOp pins the B/op gate: a rise within the 5% slack
+// passes, a larger one fails even when allocs/op and ns/op are unchanged
+// and only the memory gates run (the committed-baseline mode), and a
+// zero-byte benchmark tolerates no more than the absolute slack.
+func TestGateBytesPerOp(t *testing.T) {
+	run := func(name string, bytes, allocs float64) map[string]*sample {
+		return map[string]*sample{name: {name: name, values: map[string][]float64{
+			"ns/op": {1000}, "allocs/op": {allocs}, "B/op": {bytes}}}}
+	}
+	base := run("KernelDetailedHP8", 5888832, 263)
+	cases := []struct {
+		name string
+		new  map[string]*sample
+		fail bool
+	}{
+		{"unchanged", run("KernelDetailedHP8", 5888832, 263), false},
+		{"within slack", run("KernelDetailedHP8", 5888832*1.04, 263), false},
+		// Reintroducing the 4 MiB directory presize, allocations unchanged.
+		{"presize back", run("KernelDetailedHP8", 5888832+4<<20, 263), true},
+		{"allocs rise", run("KernelDetailedHP8", 5888832, 263*1.1), true},
+	}
+	for _, c := range cases {
+		got := gate(io.Discard, base, c.new, 10, 5, true)
+		if (len(got) > 0) != c.fail {
+			t.Errorf("%s: failures %q, want failing=%v", c.name, got, c.fail)
+		}
+	}
+	zero := run("KernelAccessRead", 0, 0)
+	if got := gate(io.Discard, zero, run("KernelAccessRead", 48, 0), 10, 5, true); len(got) != 0 {
+		t.Errorf("48 B/op over a zero baseline failed: %q", got)
+	}
+	if got := gate(io.Discard, zero, run("KernelAccessRead", 4096, 0), 10, 5, true); len(got) != 1 {
+		t.Errorf("4096 B/op over a zero baseline: failures %q, want one", got)
 	}
 }

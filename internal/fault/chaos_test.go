@@ -246,10 +246,13 @@ func checkEvents(t *testing.T, evs []wireEvent, seen map[string]string) {
 	}
 }
 
-// partialEvents reads the campaign's event stream for at most budget,
-// returning whatever events arrived — the live view a subscriber had
-// right before the process dies.
-func partialEvents(t *testing.T, base, id string, budget time.Duration) []wireEvent {
+// eventsToFirstCompute reads the campaign's event stream until this
+// process computes its first cell (a cell.done with source "computed"),
+// the campaign ends, or budget runs out, and returns the events read —
+// the live view a subscriber had right before the process dies. Killing
+// there lands each kill mid-campaign however fast the kernel runs: every
+// cycle advances the campaign by about one computed cell.
+func eventsToFirstCompute(t *testing.T, base, id string, budget time.Duration) []wireEvent {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
@@ -270,6 +273,11 @@ func partialEvents(t *testing.T, base, id string, budget time.Duration) []wireEv
 			return evs // timeout, cut connection, or clean EOF
 		}
 		evs = append(evs, ev)
+		switch {
+		case ev.Type == "cell.done" && ev.Source == "computed",
+			ev.Type == "campaign.done", ev.Type == "campaign.interrupted":
+			return evs
+		}
 	}
 }
 
@@ -344,8 +352,7 @@ func TestChaosKillRestart(t *testing.T) {
 	id := submitSpec(t, base, spec)
 
 	for cycle := 1; cycle <= cycles; cycle++ {
-		time.Sleep(400 * time.Millisecond)
-		checkEvents(t, partialEvents(t, base, id, 300*time.Millisecond), seen)
+		checkEvents(t, eventsToFirstCompute(t, base, id, time.Minute), seen)
 		d.kill()
 		// Restart with the same faults; resume() relaunches the campaign
 		// from its manifest before the listener comes up.

@@ -140,11 +140,8 @@ type dirTable struct {
 // dirMinBits is the minimum table size (2^dirMinBits slots).
 const dirMinBits = 10
 
-func (t *dirTable) init(slots int) {
-	bits := uint(dirMinBits)
-	for 1<<bits < slots {
-		bits++
-	}
+// init empties the table at 2^bits slots.
+func (t *dirTable) init(bits uint) {
 	t.entries = make([]dirEntry, 1<<bits)
 	t.shift = 64 - bits
 	t.used = 0
@@ -202,7 +199,7 @@ func (t *dirTable) or(line uint64, bit uint64) {
 // grow doubles the table, rehashing every occupied slot.
 func (t *dirTable) grow() {
 	old := t.entries
-	t.init(len(old) * 2)
+	t.init(64 - t.shift + 1)
 	for _, e := range old {
 		if e.mask == 0 {
 			continue
@@ -290,7 +287,7 @@ func NewSystem(cfg Config, nCores int) (*System, error) {
 		banks:     newChannel(cfg.BankCycles / float64(cfg.SharedBanks)),
 		dram:      newChannel(cfg.DRAMCyclesPerLine),
 	}
-	s.dir.init(0)
+	s.dir.init(dirMinBits)
 	for i := 0; i < nCores; i++ {
 		c, err := NewCache(cfg.L1, cfg.LineSize)
 		if err != nil {
@@ -317,27 +314,6 @@ func NewSystem(cfg Config, nCores int) (*System, error) {
 		s.l3 = c
 	}
 	return s, nil
-}
-
-// PresizeDirectory sizes the coherence directory for a workload expected
-// to touch about `lines` distinct cache lines, so the table reaches its
-// steady-state size up front instead of growing (and rehashing) during
-// the simulated warm-up. The estimate is a hint: an undersized table
-// still grows on demand, and large estimates are clamped — footprint
-// sums over-count shared regions, and an over-sized table costs twice
-// (construction-time zeroing and cold probes), while growth from a
-// modest size is a few amortised rehashes. Results are unaffected
-// either way.
-func (s *System) PresizeDirectory(lines int) {
-	const maxPresize = 1 << 17 // 128Ki lines -> a 4 MiB table at most
-	if lines <= 0 || s.dir.used > 0 {
-		return
-	}
-	if lines > maxPresize {
-		lines = maxPresize
-	}
-	// Size for a sub-75% load factor at the estimated footprint.
-	s.dir.init(lines + lines/2)
 }
 
 // NumCores returns the number of cores the system serves.
@@ -367,14 +343,8 @@ func (s *System) bankDelay(line uint64, now float64) float64 {
 func (s *System) dramDelay(now float64) float64 {
 	delay := s.dram.request(now)
 	s.stats.QueueCycles += delay
-	if DebugDRAM != nil {
-		DebugDRAM(now, delay)
-	}
 	return delay
 }
-
-// DebugDRAM, when non-nil, observes every DRAM queue decision (test hook).
-var DebugDRAM func(now, delay float64)
 
 // Access performs a load (write=false) or store/atomic access by core at
 // time now and returns its latency in cycles. The hierarchy state is

@@ -245,7 +245,6 @@ func NewEngine(cfg Config, prog *trace.Program, opts ...Option) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	ms.PresizeDirectory(estimateFootprintLines(prog, cfg.Mem.LineSize))
 	e := &Engine{
 		cfg:     cfg,
 		prog:    prog,
@@ -264,34 +263,6 @@ func NewEngine(cfg Config, prog *trace.Program, opts ...Option) (*Engine, error)
 		o(e)
 	}
 	return e, nil
-}
-
-// estimateFootprintLines estimates how many distinct cache lines prog
-// touches: segments sharing a base address are counted once at their
-// largest footprint. The estimate presizes the coherence directory; it
-// does not affect results.
-func estimateFootprintLines(prog *trace.Program, lineSize int) int {
-	if lineSize <= 0 {
-		return 0
-	}
-	regions := make(map[uint64]uint64, len(prog.Instances))
-	for i := range prog.Instances {
-		segs := prog.Instances[i].Segments
-		for j := range segs {
-			if fp := segs[j].Footprint; fp > regions[segs[j].Base] {
-				regions[segs[j].Base] = fp
-			}
-		}
-	}
-	var lines uint64
-	for _, fp := range regions {
-		lines += (fp + uint64(lineSize) - 1) / uint64(lineSize)
-	}
-	const clamp = 1 << 24
-	if lines > clamp {
-		lines = clamp
-	}
-	return int(lines)
 }
 
 // resetter is implemented by perturbers whose state must be restored to
@@ -317,7 +288,6 @@ func (e *Engine) Reset(prog *trace.Program) error {
 		e.prog = prog
 		e.graph = g
 		e.sched = sched.New(g, e.cfg.Policy)
-		e.memsys.PresizeDirectory(estimateFootprintLines(prog, e.cfg.Mem.LineSize))
 	}
 	for _, c := range e.cpus {
 		c.Reset()
