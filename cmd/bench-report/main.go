@@ -73,28 +73,36 @@ type Report struct {
 
 // CorpusReport is the corpus section of the report: the campaign shape
 // and the per-policy accuracy summaries (mean and worst-case error,
-// speedup, CI coverage rate).
+// speedup, CI coverage).
 type CorpusReport struct {
-	Scenarios int                             `json:"scenarios"`
-	Seed      uint64                          `json:"seed"`
-	Policies  []taskpoint.CorpusPolicySummary `json:"policies"`
+	Scenarios int                      `json:"scenarios"`
+	Seed      uint64                   `json:"seed"`
+	Policies  []taskpoint.SweepSummary `json:"policies"`
 }
 
-// runCorpus runs the fixed-seed corpus through the unified experiment
-// engine and folds it into the report section.
+// runCorpus runs the fixed-seed corpus as the sweep it expands into and
+// folds it into the report section.
 func runCorpus(ctx context.Context, n, workers int) (*CorpusReport, error) {
 	// Normalized fills the defaulted fields, so the report records the
 	// seed the corpus actually ran under.
 	spec := taskpoint.DefaultCorpus(n).Normalized()
+	sw, err := spec.SweepSpec()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := taskpoint.NewSweep(sw, workers)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(os.Stderr, "bench-report: running %d-scenario accuracy corpus\n", n)
-	recs, err := taskpoint.RunCorpusContext(ctx, spec, workers, nil, nil, nil)
+	recs, err := eng.RunContext(ctx, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &CorpusReport{
 		Scenarios: spec.Scenarios,
 		Seed:      spec.Seed,
-		Policies:  taskpoint.SummarizeCorpus(recs),
+		Policies:  taskpoint.SummarizeSweep(recs),
 	}, nil
 }
 

@@ -59,11 +59,11 @@ func TestRunCorpusSection(t *testing.T) {
 	}
 	sawCI := false
 	for _, p := range cr.Policies {
-		if p.Scenarios != 3 {
-			t.Errorf("%s summarises %d scenarios, want 3", p.Policy, p.Scenarios)
+		if p.Cells != 3 {
+			t.Errorf("%s summarises %d scenarios, want 3", p.Policy, p.Cells)
 		}
-		if p.WorstErrPct < p.MeanErrPct {
-			t.Errorf("%s worst error %v below mean %v", p.Policy, p.WorstErrPct, p.MeanErrPct)
+		if p.MaxErrPct < p.MeanErrPct {
+			t.Errorf("%s worst error %v below mean %v", p.Policy, p.MaxErrPct, p.MeanErrPct)
 		}
 		if p.CICells > 0 {
 			sawCI = true

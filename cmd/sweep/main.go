@@ -6,12 +6,20 @@
 // Campaigns are resumable: cells already present in the output file are
 // skipped, so an interrupted sweep continues where it stopped.
 //
+// A generated accuracy-stress corpus is a sweep whose benchmark axis is
+// drawn from the scenario generator (internal/gen/corpus): -corpus N draws
+// N scenarios from the master seed (-seeds, default 42) and runs them on
+// the corpus defaults (high-performance, 4 threads, lazy, periodic(64) and
+// stratified(256)), which the dimension flags override.
+//
 // Usage:
 //
 //	sweep                              # built-in default campaign
 //	sweep -spec campaign.json          # declarative spec from a file
 //	sweep -benchmarks cholesky,knn -archs hp,lp -threads 2,8 \
 //	      -policies lazy,periodic:250  # spec from flags
+//	sweep -corpus 50 -out corpus.jsonl # 50 generated scenarios, per-policy summary
+//	sweep -corpus 50 -print-spec       # list the drawn scenarios and exit
 //	sweep -out run.jsonl -csv run.csv  # resume run.jsonl, export CSV
 //	sweep -out -                       # stream JSONL to stdout (no resume)
 //	sweep -print-spec                  # show the effective spec and exit
@@ -42,26 +50,29 @@ import (
 	"time"
 
 	"taskpoint/internal/arch"
+	"taskpoint/internal/gen/corpus"
 	"taskpoint/internal/obs"
 	"taskpoint/internal/obs/query"
 	"taskpoint/internal/sweep"
 )
 
 func main() {
+	var f specFlags
+	flag.StringVar(&f.specPath, "spec", "", "JSON sweep spec file (dimension flags override its fields)")
+	flag.IntVar(&f.corpus, "corpus", 0, "draw this many generated scenarios as the benchmark axis (a single -seeds value is the draw's master seed)")
+	flag.StringVar(&f.name, "name", "", "campaign name")
+	flag.Float64Var(&f.scale, "scale", 0, "benchmark scale; 0 keeps the spec/default value")
+	flag.StringVar(&f.benchmarks, "benchmarks", "", "comma-separated benchmark names")
+	flag.StringVar(&f.archs, "archs", "", "comma-separated architectures (hp, lp, native)")
+	flag.StringVar(&f.threads, "threads", "", "comma-separated thread counts")
+	flag.StringVar(&f.policies, "policies", "", "comma-separated policies (lazy, periodic:P)")
+	flag.StringVar(&f.seeds, "seeds", "", "comma-separated workload seeds")
+	flag.IntVar(&f.w, "W", 0, "warm-up instances per thread; 0 = paper default")
+	flag.IntVar(&f.h, "H", 0, "sample history size; 0 = paper default")
 	var (
-		specPath   = flag.String("spec", "", "JSON sweep spec file (dimension flags override its fields)")
 		outPath    = flag.String("out", "sweep.jsonl", "JSONL output; existing cells in it are skipped (resume)")
 		csvPath    = flag.String("csv", "", "also export the full campaign as CSV to this path")
 		workers    = flag.Int("workers", runtime.NumCPU(), "concurrent simulations")
-		name       = flag.String("name", "", "campaign name (flag-built specs)")
-		scale      = flag.Float64("scale", 0, "benchmark scale; 0 keeps the spec/default value")
-		benchCSV   = flag.String("benchmarks", "", "comma-separated benchmark names")
-		archCSV    = flag.String("archs", "", "comma-separated architectures (hp, lp, native)")
-		threadCSV  = flag.String("threads", "", "comma-separated thread counts")
-		polCSV     = flag.String("policies", "", "comma-separated policies (lazy, periodic:P)")
-		seedCSV    = flag.String("seeds", "", "comma-separated workload seeds")
-		w          = flag.Int("W", 0, "warm-up instances per thread; 0 = paper default")
-		h          = flag.Int("H", 0, "sample history size; 0 = paper default")
 		printSpec  = flag.Bool("print-spec", false, "print the effective spec as JSON and exit")
 		quiet      = flag.Bool("quiet", false, "suppress progress and summary output on stderr")
 		tracePath  = flag.String("trace", "", "append a flight-recorder JSONL trace of the campaign to this file")
@@ -72,7 +83,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := buildSpec(*specPath, *name, *scale, *benchCSV, *archCSV, *threadCSV, *polCSV, *seedCSV, *w, *h)
+	spec, err := buildSpec(f)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,7 +147,7 @@ func main() {
 		if completed, err = loadResume(*outPath); err != nil {
 			fatal(err)
 		}
-		if err := sweep.DropPartialTail(*outPath); err != nil {
+		if err := obs.DropPartialTail(*outPath); err != nil {
 			fatal(err)
 		}
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -210,58 +221,85 @@ func writeMetrics(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// buildSpec resolves the campaign: a spec file when given, otherwise the
-// built-in default overridden by any dimension flags.
-func buildSpec(path, name string, scale float64, benchCSV, archCSV, threadCSV, polCSV, seedCSV string, w, h int) (sweep.Spec, error) {
+// specFlags are the command-line flags that shape the campaign spec.
+type specFlags struct {
+	specPath, name                              string
+	corpus                                      int
+	scale                                       float64
+	benchmarks, archs, threads, policies, seeds string
+	w, h                                        int
+}
+
+// buildSpec resolves the campaign: a drawn corpus, a spec file, or the
+// built-in default, overridden by any dimension flags.
+func buildSpec(f specFlags) (sweep.Spec, error) {
+	var seeds []uint64
+	for _, s := range splitCSV(f.seeds) {
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return sweep.Spec{}, fmt.Errorf("-seeds: %w", err)
+		}
+		seeds = append(seeds, v)
+	}
 	spec := sweep.DefaultSpec()
-	if path != "" {
-		data, err := os.ReadFile(path)
+	switch {
+	case f.corpus != 0:
+		// The corpus draws the benchmark axis from its master seed, so
+		// neither a listed axis nor several seeds can apply.
+		if f.specPath != "" || f.benchmarks != "" {
+			return sweep.Spec{}, errors.New("-corpus draws the benchmarks: it cannot be combined with -spec or -benchmarks")
+		}
+		if len(seeds) > 1 {
+			return sweep.Spec{}, errors.New("-corpus takes one -seeds value, the draw's master seed")
+		}
+		c := corpus.Spec{Scenarios: f.corpus}
+		if len(seeds) == 1 {
+			c.Seed, seeds = seeds[0], nil
+		}
+		var err error
+		if spec, err = c.SweepSpec(); err != nil {
+			return sweep.Spec{}, err
+		}
+	case f.specPath != "":
+		data, err := os.ReadFile(f.specPath)
 		if err != nil {
 			return sweep.Spec{}, err
 		}
 		spec = sweep.Spec{}
 		if err := json.Unmarshal(data, &spec); err != nil {
-			return sweep.Spec{}, fmt.Errorf("parsing %s: %w", path, err)
+			return sweep.Spec{}, fmt.Errorf("parsing %s: %w", f.specPath, err)
 		}
 	}
-	if name != "" {
-		spec.Name = name
+	if f.name != "" {
+		spec.Name = f.name
 	}
-	if scale > 0 {
-		spec.Scale = scale
+	if f.scale > 0 {
+		spec.Scale = f.scale
 	}
-	if benchCSV != "" {
-		spec.Benchmarks = splitCSV(benchCSV)
+	if f.benchmarks != "" {
+		spec.Benchmarks = splitCSV(f.benchmarks)
 	}
-	if archCSV != "" {
-		spec.Archs = splitCSV(archCSV)
+	if f.archs != "" {
+		spec.Archs = splitCSV(f.archs)
 	}
-	if polCSV != "" {
-		spec.Policies = splitCSV(polCSV)
+	if f.policies != "" {
+		spec.Policies = splitCSV(f.policies)
 	}
-	if threadCSV != "" {
-		threads, err := atoiAll(splitCSV(threadCSV))
+	if f.threads != "" {
+		threads, err := atoiAll(splitCSV(f.threads))
 		if err != nil {
 			return sweep.Spec{}, fmt.Errorf("-threads: %w", err)
 		}
 		spec.Threads = threads
 	}
-	if seedCSV != "" {
-		var seeds []uint64
-		for _, s := range splitCSV(seedCSV) {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				return sweep.Spec{}, fmt.Errorf("-seeds: %w", err)
-			}
-			seeds = append(seeds, v)
-		}
+	if seeds != nil {
 		spec.Seeds = seeds
 	}
-	if w > 0 {
-		spec.W = w
+	if f.w > 0 {
+		spec.W = f.w
 	}
-	if h > 0 {
-		spec.H = h
+	if f.h > 0 {
+		spec.H = f.h
 	}
 	return spec, nil
 }

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	taskpoint -bench cholesky -threads 8 -arch hp -policy lazy -scale 0.125
-//	taskpoint -bench dedup -policy stratified -budget 400
+//	taskpoint -bench dedup -policy 'stratified(200)'
 //	taskpoint -bench dedup -arch native -policy 'stratified(400)'
 //	taskpoint -bench 'gen:forkjoin(tasks=64)' -timeline out.json   # Perfetto timeline
 //	taskpoint -bench cholesky -trace run.jsonl                     # flight recorder
@@ -32,9 +32,7 @@ func main() {
 		benchName = flag.String("bench", "cholesky", "benchmark name or gen: scenario spec (see -list)")
 		threads   = flag.Int("threads", 8, "simulated threads (1-64)")
 		archName  = flag.String("arch", "hp", "architecture: high-performance/hp, low-power/lp or native")
-		policy    = flag.String("policy", "lazy", "sampling policy: lazy, periodic, stratified, or any ParsePolicy form like periodic(250)")
-		period    = flag.Int("period", 250, "sampling period P for -policy periodic")
-		budget    = flag.Int("budget", 400, "detailed-instance budget B for -policy stratified")
+		policy    = flag.String("policy", "lazy", "sampling policy: lazy, periodic (= periodic(250)), stratified (= stratified(400)), or any ParsePolicy form like periodic(100)")
 		scale     = flag.Float64("scale", 1.0/8, "benchmark scale (1.0 = Table I instance counts)")
 		seed      = flag.Uint64("seed", 42, "workload generation seed")
 		w         = flag.Int("W", 2, "warm-up instances per thread")
@@ -57,16 +55,16 @@ func main() {
 	params.W = *w
 	params.H = *h
 
-	// Resolve the policy: bare family names take their argument from the
-	// matching flag; anything else goes through the engine's ParsePolicy,
-	// which rejects unknown or malformed policies instead of silently
-	// falling back.
+	// Resolve the policy: bare family names take the paper's period and
+	// the default budget; anything else goes through the engine's
+	// ParsePolicy, which rejects unknown or malformed policies instead of
+	// silently falling back.
 	spec := strings.TrimSpace(*policy)
 	switch spec {
 	case "periodic":
-		spec = fmt.Sprintf("periodic(%d)", *period)
+		spec = "periodic(250)"
 	case "stratified":
-		spec = fmt.Sprintf("stratified(%d)", *budget)
+		spec = "stratified(400)"
 	}
 
 	req := taskpoint.Request{

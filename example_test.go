@@ -105,7 +105,7 @@ func ExampleSimulateStratified() {
 // requests (workload × architecture × threads × policy) and iterate the
 // reports. RunAll shards the grid across the worker pool but yields in
 // request order, and the context cancels in-flight simulations — the one
-// code path behind the Runner, the sweep engine and the corpus harness.
+// code path behind the Runner and the sweep engine.
 func ExampleEngine_RunAll() {
 	eng := taskpoint.NewEngine(taskpoint.WithWorkers(4))
 
@@ -259,19 +259,28 @@ func ExampleObsqReport() {
 }
 
 // Run a small generated accuracy-stress corpus: scenarios drawn across
-// the family x knob grid, every policy vs the detailed reference, with
-// per-policy error and CI-coverage summaries.
-func ExampleRunCorpus() {
-	spec := taskpoint.DefaultCorpus(3)
-	recs, err := taskpoint.RunCorpus(spec, 2, nil, nil, nil)
+// the family x knob grid, every policy vs the detailed reference. A
+// corpus is a sweep whose benchmark axis is drawn, so the sweep engine
+// runs it and its summary gives the per-policy error and CI coverage.
+func ExampleDefaultCorpus() {
+	spec, err := taskpoint.DefaultCorpus(3).SweepSpec()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	sums := taskpoint.SummarizeCorpus(recs)
+	eng, err := taskpoint.NewSweep(spec, 2)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	recs, err := eng.Run(nil, nil)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	fmt.Println("records:", len(recs))
-	for _, s := range sums {
-		fmt.Printf("%s: %d scenarios, ci cells %d\n", s.Policy, s.Scenarios, s.CICells)
+	for _, s := range taskpoint.SummarizeSweep(recs) {
+		fmt.Printf("%s: %d scenarios, ci cells %d\n", s.Policy, s.Cells, s.CICells)
 	}
 	// Output:
 	// records: 9

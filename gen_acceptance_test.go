@@ -49,7 +49,15 @@ func TestCorpusStratifiedCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50-scenario corpus in -short mode")
 	}
-	recs, err := taskpoint.RunCorpus(taskpoint.DefaultCorpus(50), 4, nil, nil, nil)
+	spec, err := taskpoint.DefaultCorpus(50).SweepSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := taskpoint.NewSweep(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := eng.Run(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +75,9 @@ func TestCorpusStratifiedCoverage(t *testing.T) {
 	if len(families) < 6 {
 		t.Errorf("corpus exercised %d families, want >= 6", len(families))
 	}
-	for _, s := range taskpoint.SummarizeCorpus(recs) {
-		if s.Scenarios != 50 {
-			t.Errorf("%s ran %d scenarios, want 50", s.Policy, s.Scenarios)
+	for _, s := range taskpoint.SummarizeSweep(recs) {
+		if s.Cells != 50 {
+			t.Errorf("%s ran %d scenarios, want 50", s.Policy, s.Cells)
 		}
 		if s.GeoSpeedupDetail <= 1 {
 			t.Errorf("%s has no sampling speedup: %+v", s.Policy, s)
@@ -78,9 +86,9 @@ func TestCorpusStratifiedCoverage(t *testing.T) {
 			if s.CICells != 50 {
 				t.Errorf("%s reported CIs on %d/50 scenarios", s.Policy, s.CICells)
 			}
-			if s.CoverRate < 0.9 {
-				t.Errorf("%s CI coverage %.0f%% below the 90%% acceptance bar",
-					s.Policy, 100*s.CoverRate)
+			if 10*s.CICovered < 9*s.CICells {
+				t.Errorf("%s CI coverage %d/%d below the 90%% acceptance bar",
+					s.Policy, s.CICovered, s.CICells)
 			}
 		}
 	}

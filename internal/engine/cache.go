@@ -109,7 +109,7 @@ func (c *BaselineCache) SetTier(t BaselineTier) {
 func (c *BaselineCache) Sync() { c.pending.Wait() }
 
 // CacheStats is a point-in-time view of a cache's detailed-reference
-// behaviour — the numbers the sweep/corpus end-of-run summaries print,
+// behaviour — the numbers the sweep end-of-run summary prints,
 // since baseline computation dominates campaign cost.
 type CacheStats struct {
 	// Hits and Misses tally detailed-reference lookups by outcome: a hit

@@ -6,8 +6,8 @@
 //
 // Every driver of the repository routes through it — the evaluation
 // runner (internal/results), the design-space sweep engine
-// (internal/sweep), the generated accuracy corpus (internal/gen/corpus)
-// and the command front ends — so worker pooling, baseline caching and
+// (internal/sweep, which also runs generated accuracy corpora) and the
+// command front ends — so worker pooling, baseline caching and
 // cell identity exist exactly once.
 package engine
 

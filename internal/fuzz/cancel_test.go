@@ -14,7 +14,7 @@ import (
 // end: a campaign cancelled mid-round (what cmd/estfuzz's SIGINT handler
 // produces) reports a clean context error, its corpus holds only complete
 // lines — even after a torn tail is injected, AppendCorpus truncates it
-// via sweep.DropPartialTail before appending — and resuming from the last
+// via obs.DropPartialTail before appending — and resuming from the last
 // completed round yields exactly the findings of an uninterrupted run.
 func TestRunCancellationAndResume(t *testing.T) {
 	// Absurdly low ceilings so nearly every cell violates: the test needs

@@ -8,12 +8,12 @@ import (
 	"os"
 	"strings"
 
-	"taskpoint/internal/sweep"
+	"taskpoint/internal/obs"
 )
 
 // LoadCorpus reads a reproducer corpus: JSONL, one Finding per line. Every
 // line must parse — writers guarantee complete lines by truncating a
-// partial tail (sweep.DropPartialTail) before appending, so a malformed
+// partial tail (obs.DropPartialTail) before appending, so a malformed
 // line is corruption, not an interrupted campaign.
 func LoadCorpus(r io.Reader) ([]Finding, error) {
 	var out []Finding
@@ -57,13 +57,13 @@ func ReadCorpusFile(path string) ([]Finding, error) {
 
 // AppendCorpus appends findings to the corpus at path, creating it if
 // absent. Before appending it truncates a partial trailing line (an
-// interrupted fuzz run killed mid-write) with sweep.DropPartialTail, so
+// interrupted fuzz run killed mid-write) with obs.DropPartialTail, so
 // new records never glue onto a torn one, and it dedupes against the
 // entries already present by cell key — re-discovering a committed
 // reproducer does not duplicate it. Returns how many findings were
 // actually appended.
 func AppendCorpus(path string, fs []Finding) (added int, err error) {
-	if err := sweep.DropPartialTail(path); err != nil {
+	if err := obs.DropPartialTail(path); err != nil {
 		return 0, err
 	}
 	existing, err := ReadCorpusFile(path)

@@ -1,30 +1,22 @@
-// Package corpus is the accuracy-stress harness over the scenario
-// generator: it draws N scenarios across the family × knob grid
-// deterministically from a master seed, runs every sampling policy
-// against the detailed reference in parallel across the sweep engine's
-// worker pool (scenarios are embarrassingly parallel while each
-// simulation stays single-threaded), and emits per-scenario error,
-// CI-coverage and speedup records in the exact JSONL/CSV shape
-// internal/sweep already uses — so campaigns can sweep over generated
-// workloads, not just the Table I registry.
+// Package corpus draws accuracy-stress campaigns over the scenario
+// generator: N scenarios across the family × knob grid, deterministically
+// from a master seed. A corpus is a design-space sweep whose benchmark
+// axis is drawn rather than listed, so SweepSpec is its whole interface
+// to the rest of the stack: the sweep engine runs it, resumes it and
+// summarises it per policy (cmd/sweep -corpus N).
 package corpus
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"math/rand/v2"
-	"sort"
-	"strings"
 
 	"taskpoint/internal/gen"
 	"taskpoint/internal/results"
-	"taskpoint/internal/stats"
 	"taskpoint/internal/sweep"
 )
 
 // Spec declares a corpus campaign. Zero values select the defaults noted
-// per field; Draw and Run normalise them.
+// per field; Draw and SweepSpec normalise them.
 type Spec struct {
 	// Name labels the campaign.
 	Name string `json:"name,omitempty"`
@@ -61,7 +53,7 @@ type Spec struct {
 func DefaultSpec(n int) Spec { return Spec{Scenarios: n} }
 
 // Normalized returns the spec with every defaulted field filled — what
-// Draw and Run actually execute, and the single source of truth for
+// Draw and SweepSpec actually expand, and the single source of truth for
 // reports that record the campaign configuration.
 func (s Spec) Normalized() Spec {
 	if s.Name == "" {
@@ -186,139 +178,4 @@ func (s Spec) SweepSpec() (sweep.Spec, error) {
 		W:          n.W,
 		H:          n.H,
 	}, nil
-}
-
-// Run executes the corpus campaign across a pool of workers goroutines,
-// streaming one JSONL record per completed (scenario, policy) cell to out
-// (nil discards) and reporting progress through onRecord (also nil-able).
-// completed records from a previous run (sweep.LoadCompleted) are skipped,
-// making corpora resumable exactly like sweeps. Records come back in
-// deterministic scenario-major order regardless of worker count.
-func Run(s Spec, workers int, out io.Writer, completed map[string]sweep.Record,
-	onRecord func(done, total int, rec sweep.Record)) ([]sweep.Record, error) {
-	return RunContext(context.Background(), s, workers, out, completed, onRecord)
-}
-
-// RunContext is Run with cooperative cancellation: the corpus is a thin
-// adapter over the sweep engine — itself an adapter over the unified
-// experiment engine — so cancelling ctx stops in-flight simulations
-// promptly and fails the remaining cells with ctx's error. The optional
-// tune functions adjust the underlying sweep engine before it runs
-// (e.g. attaching a flight recorder).
-func RunContext(ctx context.Context, s Spec, workers int, out io.Writer, completed map[string]sweep.Record,
-	onRecord func(done, total int, rec sweep.Record), tune ...func(*sweep.Engine)) ([]sweep.Record, error) {
-	sw, err := s.SweepSpec()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sweep.New(sw, workers)
-	if err != nil {
-		return nil, err
-	}
-	eng.OnRecord = onRecord
-	for _, fn := range tune {
-		fn(eng)
-	}
-	return eng.RunContext(ctx, out, completed)
-}
-
-// PolicySummary aggregates one policy over every scenario of a corpus —
-// the harness's headline: where does the policy's error and CI coverage
-// actually break.
-type PolicySummary struct {
-	Policy string `json:"policy"`
-	// Scenarios is the number of corpus cells the policy ran.
-	Scenarios int `json:"scenarios"`
-	// MeanErrPct and WorstErrPct summarise execution-time error against
-	// the detailed reference; WorstBench names the scenario behind the
-	// worst case.
-	MeanErrPct  float64 `json:"mean_err_pct"`
-	WorstErrPct float64 `json:"worst_err_pct"`
-	WorstBench  string  `json:"worst_bench,omitempty"`
-	// GeoSpeedupDetail and MeanDetailFrac summarise the sampling
-	// speedup.
-	GeoSpeedupDetail float64 `json:"geo_speedup_detail"`
-	MeanDetailFrac   float64 `json:"mean_detail_frac"`
-	// CICells counts cells reporting a confidence interval; CICovered of
-	// them covered the detailed reference, CoverRate is their ratio and
-	// MeanCIRelWidth the mean relative interval width.
-	CICells        int     `json:"ci_cells,omitempty"`
-	CICovered      int     `json:"ci_covered,omitempty"`
-	CoverRate      float64 `json:"cover_rate,omitempty"`
-	MeanCIRelWidth float64 `json:"mean_ci_rel_width,omitempty"`
-}
-
-// Summarize folds corpus records into per-policy summaries, sorted by
-// policy name.
-func Summarize(recs []sweep.Record) []PolicySummary {
-	groups := make(map[string][]sweep.Record)
-	for _, r := range recs {
-		groups[r.Policy] = append(groups[r.Policy], r)
-	}
-	names := make([]string, 0, len(groups))
-	for p := range groups {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	out := make([]PolicySummary, 0, len(names))
-	for _, p := range names {
-		group := groups[p]
-		sum := PolicySummary{Policy: p, Scenarios: len(group)}
-		var errs, det, frac, ciw []float64
-		for _, r := range group {
-			errs = append(errs, r.ErrPct)
-			det = append(det, r.SpeedupDetail)
-			frac = append(frac, r.DetailFraction)
-			if r.ErrPct > sum.WorstErrPct {
-				sum.WorstErrPct = r.ErrPct
-				sum.WorstBench = r.Bench
-			}
-			if r.CIStrata > 0 {
-				ciw = append(ciw, r.CIRelWidth)
-				sum.CICells++
-				if r.CICovered {
-					sum.CICovered++
-				}
-			}
-		}
-		sum.MeanErrPct = stats.Mean(errs)
-		sum.GeoSpeedupDetail = stats.GeoMean(det)
-		sum.MeanDetailFrac = stats.Mean(frac)
-		if sum.CICells > 0 {
-			sum.CoverRate = float64(sum.CICovered) / float64(sum.CICells)
-			sum.MeanCIRelWidth = stats.Mean(ciw)
-		}
-		out = append(out, sum)
-	}
-	return out
-}
-
-// RenderSummary renders per-policy corpus summaries as an aligned text
-// table, the cmd/corpus report.
-func RenderSummary(title string, sums []PolicySummary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-16s %9s %10s %10s %9s %9s %9s %9s\n",
-		"policy", "scenarios", "mean-err%", "worst-err%", "x-detail", "%detail", "ci-width%", "covered")
-	for _, s := range sums {
-		ciWidth, covered := "-", "-"
-		if s.CICells > 0 {
-			ciWidth = fmt.Sprintf("%.2f", 100*s.MeanCIRelWidth)
-			covered = fmt.Sprintf("%d/%d", s.CICovered, s.CICells)
-		}
-		fmt.Fprintf(&b, "%-16s %9d %10.2f %10.2f %9.1f %9.1f %9s %9s\n",
-			s.Policy, s.Scenarios, s.MeanErrPct, s.WorstErrPct,
-			s.GeoSpeedupDetail, 100*s.MeanDetailFrac, ciWidth, covered)
-	}
-	worstIdx := -1
-	for i, s := range sums {
-		if s.WorstBench != "" && (worstIdx < 0 || s.WorstErrPct > sums[worstIdx].WorstErrPct) {
-			worstIdx = i
-		}
-	}
-	if worstIdx >= 0 {
-		fmt.Fprintf(&b, "worst cell: %s at %.2f%% (%s)\n",
-			sums[worstIdx].Policy, sums[worstIdx].WorstErrPct, sums[worstIdx].WorstBench)
-	}
-	return b.String()
 }

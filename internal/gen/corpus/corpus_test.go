@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"encoding/csv"
+	"io"
 	"math"
 	"reflect"
 	"strconv"
@@ -78,6 +79,25 @@ func TestDrawDeterministicPrefix(t *testing.T) {
 	}
 }
 
+// run executes a corpus as the sweep it expands into, streaming records to
+// out (nil discards) and skipping cells already in completed.
+func run(t *testing.T, s Spec, workers int, out io.Writer, completed map[string]sweep.Record) []sweep.Record {
+	t.Helper()
+	sw, err := s.SweepSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sweep.New(sw, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := eng.Run(out, completed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // normalizeWall clears host wall-clock dependent fields, the only
 // non-deterministic part of a record.
 func normalizeWall(recs []sweep.Record) []sweep.Record {
@@ -94,14 +114,8 @@ func normalizeWall(recs []sweep.Record) []sweep.Record {
 // run under -race in CI, this also exercises the worker pool for data
 // races.
 func TestRunParallelDeterminism(t *testing.T) {
-	one, err := Run(smallSpec(), 1, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := Run(smallSpec(), 4, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := run(t, smallSpec(), 1, nil, nil)
+	four := run(t, smallSpec(), 4, nil, nil)
 	a, b := normalizeWall(one), normalizeWall(four)
 	if !reflect.DeepEqual(a, b) {
 		for i := range a {
@@ -118,10 +132,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 // re-simulating different values.
 func TestJSONLRoundTripAndResume(t *testing.T) {
 	var buf bytes.Buffer
-	recs, err := Run(smallSpec(), 2, &buf, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := run(t, smallSpec(), 2, &buf, nil)
 	loaded, err := sweep.LoadCompleted(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +151,7 @@ func TestJSONLRoundTripAndResume(t *testing.T) {
 	}
 	// Resume: every cell completed, so no new simulation runs and the
 	// records come back as loaded.
-	resumed, err := Run(smallSpec(), 2, nil, loaded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := run(t, smallSpec(), 2, nil, loaded)
 	if !reflect.DeepEqual(resumed, recs) {
 		t.Fatal("resumed corpus differs from original records")
 	}
@@ -152,10 +160,7 @@ func TestJSONLRoundTripAndResume(t *testing.T) {
 // TestCSVExportRoundTrip: the CSV export carries one row per record with
 // the numeric columns surviving to reasonable precision.
 func TestCSVExportRoundTrip(t *testing.T) {
-	recs, err := Run(smallSpec(), 2, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := run(t, smallSpec(), 2, nil, nil)
 	var buf bytes.Buffer
 	if err := sweep.WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -197,59 +202,19 @@ func TestCSVExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummarizeCoverageAccounting: per-policy summaries fold CI cells and
-// worst cases correctly.
-func TestSummarizeCoverageAccounting(t *testing.T) {
-	recs := []sweep.Record{
-		{Policy: "lazy", Bench: "a", ErrPct: 2, SpeedupDetail: 4, DetailFraction: 0.2},
-		{Policy: "lazy", Bench: "b", ErrPct: 6, SpeedupDetail: 1, DetailFraction: 0.4},
-		{Policy: "stratified(96)", Bench: "a", ErrPct: 1, SpeedupDetail: 2, DetailFraction: 0.5,
-			CIStrata: 3, CIRelWidth: 0.04, CICovered: true},
-		{Policy: "stratified(96)", Bench: "b", ErrPct: 3, SpeedupDetail: 2, DetailFraction: 0.5,
-			CIStrata: 4, CIRelWidth: 0.08, CICovered: false},
-	}
-	sums := Summarize(recs)
-	if len(sums) != 2 {
-		t.Fatalf("%d summaries, want 2", len(sums))
-	}
-	lazy, strat := sums[0], sums[1]
-	if lazy.Policy != "lazy" || strat.Policy != "stratified(96)" {
-		t.Fatalf("summary order %q, %q", lazy.Policy, strat.Policy)
-	}
-	if lazy.WorstErrPct != 6 || lazy.WorstBench != "b" || lazy.MeanErrPct != 4 {
-		t.Errorf("lazy summary %+v", lazy)
-	}
-	if lazy.CICells != 0 || lazy.CoverRate != 0 {
-		t.Errorf("lazy has CI cells: %+v", lazy)
-	}
-	if strat.CICells != 2 || strat.CICovered != 1 || strat.CoverRate != 0.5 {
-		t.Errorf("stratified CI accounting %+v", strat)
-	}
-	if math.Abs(strat.MeanCIRelWidth-0.06) > 1e-12 {
-		t.Errorf("mean CI width %v, want 0.06", strat.MeanCIRelWidth)
-	}
-	out := RenderSummary("t", sums)
-	if out == "" || !bytes.Contains([]byte(out), []byte("worst cell: lazy at 6.00%")) {
-		t.Errorf("rendered summary missing worst cell:\n%s", out)
-	}
-}
-
 // TestCorpusAccuracyGate is the CI accuracy gate: a fixed-seed
 // 10-scenario corpus whose per-policy mean error must stay under
 // checked-in thresholds, and whose stratified confidence intervals must
 // keep covering the detailed reference. A regression in the sampler, the
 // stratified estimator or the generator moves these numbers.
 func TestCorpusAccuracyGate(t *testing.T) {
-	recs, err := Run(DefaultSpec(10), 4, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := run(t, DefaultSpec(10), 4, nil, nil)
 	thresholds := map[string]float64{
 		"lazy":            45,
 		"periodic(64)":    45,
 		"stratified(256)": 8,
 	}
-	sums := Summarize(recs)
+	sums := sweep.Summarize(recs)
 	if len(sums) != len(thresholds) {
 		t.Fatalf("%d policies in gate corpus, want %d", len(sums), len(thresholds))
 	}
@@ -259,14 +224,14 @@ func TestCorpusAccuracyGate(t *testing.T) {
 			t.Errorf("unexpected policy %q in gate corpus", s.Policy)
 			continue
 		}
-		if s.Scenarios != 10 {
-			t.Errorf("%s ran %d scenarios, want 10", s.Policy, s.Scenarios)
+		if s.Cells != 10 {
+			t.Errorf("%s ran %d scenarios, want 10", s.Policy, s.Cells)
 		}
 		if s.MeanErrPct > limit {
 			t.Errorf("%s mean error %.2f%% exceeds gate threshold %.0f%%", s.Policy, s.MeanErrPct, limit)
 		}
-		if s.CICells > 0 && s.CoverRate < 0.9 {
-			t.Errorf("%s CI coverage %.0f%% below 90%% gate", s.Policy, 100*s.CoverRate)
+		if s.CICells > 0 && 10*s.CICovered < 9*s.CICells {
+			t.Errorf("%s CI coverage %d/%d below 90%% gate", s.Policy, s.CICovered, s.CICells)
 		}
 	}
 }

@@ -14,7 +14,6 @@ package results
 import (
 	"context"
 	"reflect"
-	"sync"
 	"time"
 
 	"taskpoint/internal/arch"
@@ -69,44 +68,32 @@ type Runner struct {
 	// starts; nil means context.Background().
 	ctx context.Context
 
-	// cache, when set before first use (NewCachedRunner), backs the
-	// runner's engine with a shared baseline cache instead of a private
-	// one.
-	cache *engine.BaselineCache
-
-	mu     sync.Mutex
-	shared *runnerShared
-}
-
-// runnerShared is the engine state behind a Runner and every context-bound
-// view of it (WithContext), so all views share one baseline cache and one
-// worker pool.
-type runnerShared struct {
+	// eng is shared by the runner and every context-bound view of it
+	// (WithContext), so all views share one baseline cache and one worker
+	// pool.
 	eng *engine.Engine
 }
 
 // NewRunner builds a runner at the given benchmark scale.
 func NewRunner(scale float64, seed uint64, workers int) *Runner {
-	if workers < 1 {
-		workers = 1
-	}
-	r := &Runner{Scale: scale, Seed: seed, Workers: workers}
-	r.ensureShared()
-	return r
+	return NewCachedRunner(scale, seed, workers, nil)
 }
 
 // NewCachedRunner builds a runner whose generated programs and detailed
 // reference simulations live in the caller's shared cache, so runners
 // created for separate figures (or separate benchmark iterations) stop
 // re-simulating identical baselines. Results are unaffected: the cache
-// key pins the full cell identity.
+// key pins the full cell identity. A nil cache gives the runner a
+// private one.
 func NewCachedRunner(scale float64, seed uint64, workers int, cache *engine.BaselineCache) *Runner {
 	if workers < 1 {
 		workers = 1
 	}
-	r := &Runner{Scale: scale, Seed: seed, Workers: workers, cache: cache}
-	r.ensureShared()
-	return r
+	opts := []engine.Option{engine.WithWorkers(workers)}
+	if cache != nil {
+		opts = append(opts, engine.WithBaselineCache(cache))
+	}
+	return &Runner{Scale: scale, Seed: seed, Workers: workers, eng: engine.New(opts...)}
 }
 
 // WithContext returns a view of the runner whose simulations are
@@ -114,35 +101,8 @@ func NewCachedRunner(scale float64, seed uint64, workers int, cache *engine.Base
 // a signal context once instead of threading it through every call. The
 // view shares the runner's engine, baseline cache and worker pool.
 func (r *Runner) WithContext(ctx context.Context) *Runner {
-	return &Runner{
-		Scale:   r.Scale,
-		Seed:    r.Seed,
-		Workers: r.Workers,
-		ctx:     ctx,
-		shared:  r.ensureShared(),
-	}
+	return &Runner{Scale: r.Scale, Seed: r.Seed, Workers: r.Workers, ctx: ctx, eng: r.eng}
 }
-
-// ensureShared lazily builds the backing engine, so zero-constructed
-// Runners keep working like they did before the engine existed.
-func (r *Runner) ensureShared() *runnerShared {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shared == nil {
-		workers := r.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		opts := []engine.Option{engine.WithWorkers(workers)}
-		if r.cache != nil {
-			opts = append(opts, engine.WithBaselineCache(r.cache))
-		}
-		r.shared = &runnerShared{eng: engine.New(opts...)}
-	}
-	return r.shared
-}
-
-func (r *Runner) engine() *engine.Engine { return r.ensureShared().eng }
 
 func (r *Runner) context() context.Context {
 	if r.ctx != nil {
@@ -164,12 +124,12 @@ func (r *Runner) request(benchName string, a Arch, threads int) engine.Request {
 
 // Program returns the (cached) generated program of a benchmark.
 func (r *Runner) Program(name string) (*trace.Program, error) {
-	return r.engine().Cache().Program(name, r.Scale, r.Seed)
+	return r.eng.Cache().Program(name, r.Scale, r.Seed)
 }
 
 // Detailed runs (or returns the cached) full-detail reference simulation.
 func (r *Runner) Detailed(benchName string, a Arch, threads int) (*sim.Result, error) {
-	return r.engine().Baseline(r.context(), r.request(benchName, a, threads))
+	return r.eng.Baseline(r.context(), r.request(benchName, a, threads))
 }
 
 // SampledRow is one bar of Figures 7-10: one benchmark at one thread count
@@ -233,7 +193,7 @@ func (r *Runner) Sampled(benchName string, a Arch, threads int, params core.Para
 	req := r.request(benchName, a, threads)
 	req.Params = params
 	req.PolicyValue = policy
-	rep, err := r.engine().Run(r.context(), req)
+	rep, err := r.eng.Run(r.context(), req)
 	if err != nil {
 		return SampledRow{}, err
 	}
@@ -272,7 +232,7 @@ func (r *Runner) Figure(a Arch, threadCounts []int, params core.Params, policy c
 		}
 	}
 	rows := make([]SampledRow, 0, len(reqs))
-	for rep, err := range r.engine().RunAll(r.context(), reqs) {
+	for rep, err := range r.eng.RunAll(r.context(), reqs) {
 		if err != nil {
 			return nil, err
 		}

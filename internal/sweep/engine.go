@@ -248,23 +248,12 @@ func (e *Engine) RunContext(ctx context.Context, out io.Writer, completed map[st
 	return recs, errors.Join(errs...)
 }
 
-// DropPartialTail truncates a JSONL output file that does not end in a
-// newline back to its last complete line: the partial record of an
-// interrupted campaign is ignored by LoadCompleted, but appending to it
-// would glue the next record onto the same line, so its cell would never
-// register as completed on later resumes — and once further appends push
-// the glued line off the tail, LoadCompleted rejects the file outright.
-// Every resumable command must call it before opening the file for
-// append. A missing file is a no-op.
-//
-// The implementation lives in internal/obs (flight-recorder traces honour
-// the same contract); this wrapper preserves the original call sites.
-func DropPartialTail(path string) error { return obs.DropPartialTail(path) }
-
 // LoadCompleted reads a JSONL stream written by Run and returns its
 // records keyed by cell key — the resume set. A truncated final line
 // (an interrupted campaign killed mid-write) is ignored; malformed lines
-// elsewhere are an error.
+// elsewhere are an error. A resumable writer must truncate that partial
+// line (obs.DropPartialTail) before appending, or the next record glues
+// onto it and its cell never registers as completed.
 func LoadCompleted(r io.Reader) (map[string]Record, error) {
 	out := make(map[string]Record)
 	sc := bufio.NewScanner(r)
@@ -299,30 +288,36 @@ func LoadCompleted(r io.Reader) (map[string]Record, error) {
 }
 
 // Summary aggregates one (architecture, policy, thread count) group of a
-// campaign — the granularity at which Figures 7-10 report averages.
+// campaign — the granularity at which Figures 7-10 report averages. Over a
+// generated corpus (one architecture, one thread count) it is the
+// per-policy accuracy headline: where the policy's error and CI coverage
+// break.
 type Summary struct {
-	Arch    string
-	Policy  string
-	Threads int
+	Arch    string `json:"arch"`
+	Policy  string `json:"policy"`
+	Threads int    `json:"threads"`
 	// Cells is the number of records in the group
 	// (benchmarks × seeds).
-	Cells int
-	// MeanErrPct and MaxErrPct summarise execution-time error.
-	MeanErrPct float64
-	MaxErrPct  float64
+	Cells int `json:"cells"`
+	// MeanErrPct and MaxErrPct summarise execution-time error;
+	// MaxErrBench names the benchmark behind MaxErrPct (empty when every
+	// cell is exact).
+	MeanErrPct  float64 `json:"mean_err_pct"`
+	MaxErrPct   float64 `json:"max_err_pct"`
+	MaxErrBench string  `json:"max_err_bench,omitempty"`
 	// MeanSpeedupWall averages wall-clock speedup; GeoSpeedupDetail is
 	// the geometric mean of the instruction-level speedup.
-	MeanSpeedupWall  float64
-	GeoSpeedupDetail float64
+	MeanSpeedupWall  float64 `json:"mean_speedup_wall"`
+	GeoSpeedupDetail float64 `json:"geo_speedup_detail"`
 	// MeanDetailFrac averages the fraction of instructions simulated in
 	// detail.
-	MeanDetailFrac float64
+	MeanDetailFrac float64 `json:"mean_detail_frac"`
 	// CICells counts records carrying a confidence interval (stratified
 	// cells); MeanCIRelWidth and CICovered summarise them. Zero/empty
 	// for non-stratified groups.
-	CICells        int
-	MeanCIRelWidth float64
-	CICovered      int
+	CICells        int     `json:"ci_cells,omitempty"`
+	MeanCIRelWidth float64 `json:"mean_ci_rel_width,omitempty"`
+	CICovered      int     `json:"ci_covered,omitempty"`
 }
 
 // Summarize folds records into per-(arch, policy, threads) summaries,
@@ -355,8 +350,13 @@ func Summarize(recs []Record) []Summary {
 		group := groups[k]
 		var errsPct, wall, det, frac, ciw []float64
 		ciCovered := 0
+		var maxErr float64
+		var maxBench string
 		for _, r := range group {
 			errsPct = append(errsPct, r.ErrPct)
+			if r.ErrPct > maxErr {
+				maxErr, maxBench = r.ErrPct, r.Bench
+			}
 			wall = append(wall, r.SpeedupWall)
 			det = append(det, r.SpeedupDetail)
 			frac = append(frac, r.DetailFraction)
@@ -375,6 +375,7 @@ func Summarize(recs []Record) []Summary {
 			Cells:            len(group),
 			MeanErrPct:       avg.MeanErrPct,
 			MaxErrPct:        avg.MaxErrPct,
+			MaxErrBench:      maxBench,
 			MeanSpeedupWall:  avg.MeanSpeedupW,
 			GeoSpeedupDetail: avg.GeoSpeedupDet,
 			MeanDetailFrac:   avg.MeanDetailFrac,
@@ -389,7 +390,8 @@ func Summarize(recs []Record) []Summary {
 // RenderSummary renders summaries as the aligned text table the sweep
 // command prints, mirroring the per-thread-count averages of Figures 7-10.
 // Stratified groups additionally report the mean relative CI width and how
-// many of their intervals covered the detailed reference.
+// many of their intervals covered the detailed reference. A closing line
+// names the worst cell of the campaign.
 func RenderSummary(title string, sums []Summary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -405,6 +407,16 @@ func RenderSummary(title string, sums []Summary) string {
 			s.Arch, s.Policy, s.Threads, s.Cells,
 			s.MeanErrPct, s.MaxErrPct, s.GeoSpeedupDetail, 100*s.MeanDetailFrac,
 			ciWidth, covered)
+	}
+	var worst *Summary
+	for i := range sums {
+		if s := &sums[i]; s.MaxErrBench != "" && (worst == nil || s.MaxErrPct > worst.MaxErrPct) {
+			worst = s
+		}
+	}
+	if worst != nil {
+		fmt.Fprintf(&b, "worst cell: %s at %.2f%% (%s, %s, %d threads)\n",
+			worst.Policy, worst.MaxErrPct, worst.MaxErrBench, worst.Arch, worst.Threads)
 	}
 	return b.String()
 }

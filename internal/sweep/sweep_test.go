@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"taskpoint/internal/obs"
 	"taskpoint/internal/results"
 )
 
@@ -226,6 +227,49 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeCoverageAccounting: per-policy summaries of a generated
+// corpus (one architecture, one thread count) fold CI cells and the worst
+// case correctly, and the rendered table names the worst cell.
+func TestSummarizeCoverageAccounting(t *testing.T) {
+	recs := []Record{
+		{Arch: "hp", Threads: 4, Policy: "lazy", Bench: "a", ErrPct: 2, SpeedupDetail: 4, DetailFraction: 0.2},
+		{Arch: "hp", Threads: 4, Policy: "lazy", Bench: "b", ErrPct: 6, SpeedupDetail: 1, DetailFraction: 0.4},
+		{Arch: "hp", Threads: 4, Policy: "stratified(96)", Bench: "a", ErrPct: 1, SpeedupDetail: 2, DetailFraction: 0.5,
+			CIStrata: 3, CIRelWidth: 0.04, CICovered: true},
+		{Arch: "hp", Threads: 4, Policy: "stratified(96)", Bench: "b", ErrPct: 3, SpeedupDetail: 2, DetailFraction: 0.5,
+			CIStrata: 4, CIRelWidth: 0.08, CICovered: false},
+	}
+	sums := Summarize(recs)
+	if len(sums) != 2 {
+		t.Fatalf("%d summaries, want 2", len(sums))
+	}
+	lazy, strat := sums[0], sums[1]
+	if lazy.Policy != "lazy" || strat.Policy != "stratified(96)" {
+		t.Fatalf("summary order %q, %q", lazy.Policy, strat.Policy)
+	}
+	if lazy.MaxErrPct != 6 || lazy.MaxErrBench != "b" || lazy.MeanErrPct != 4 {
+		t.Errorf("lazy summary %+v", lazy)
+	}
+	if lazy.CICells != 0 || lazy.CICovered != 0 {
+		t.Errorf("lazy has CI cells: %+v", lazy)
+	}
+	if strat.CICells != 2 || strat.CICovered != 1 || strat.MaxErrBench != "b" {
+		t.Errorf("stratified CI accounting %+v", strat)
+	}
+	if math.Abs(strat.MeanCIRelWidth-0.06) > 1e-12 {
+		t.Errorf("mean CI width %v, want 0.06", strat.MeanCIRelWidth)
+	}
+	out := RenderSummary("t", sums)
+	if !strings.Contains(out, "worst cell: lazy at 6.00% (b, hp, 4 threads)") {
+		t.Errorf("rendered summary missing worst cell:\n%s", out)
+	}
+	// Exact cells name no worst bench, and then no worst line renders.
+	exact := Summarize([]Record{{Arch: "hp", Threads: 4, Policy: "lazy", Bench: "a", SpeedupDetail: 1}})
+	if exact[0].MaxErrBench != "" || strings.Contains(RenderSummary("t", exact), "worst cell") {
+		t.Errorf("exact campaign reports a worst cell: %+v", exact[0])
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	recs := []Record{{
 		Key: "a|hp|2|lazy|7", Bench: "a", Arch: "hp", Threads: 2,
@@ -373,7 +417,7 @@ func TestDropPartialTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(full+"{\"key\":\"c"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := DropPartialTail(path); err != nil {
+	if err := obs.DropPartialTail(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -384,20 +428,20 @@ func TestDropPartialTail(t *testing.T) {
 		t.Errorf("truncated file %q, want %q", got, full)
 	}
 	// Clean files and missing files are no-ops.
-	if err := DropPartialTail(path); err != nil {
+	if err := obs.DropPartialTail(path); err != nil {
 		t.Fatal(err)
 	}
 	if got2, _ := os.ReadFile(path); string(got2) != full {
 		t.Errorf("clean file changed: %q", got2)
 	}
-	if err := DropPartialTail(filepath.Join(t.TempDir(), "missing.jsonl")); err != nil {
+	if err := obs.DropPartialTail(filepath.Join(t.TempDir(), "missing.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	// A single partial line truncates to empty.
 	if err := os.WriteFile(path, []byte("{\"key"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := DropPartialTail(path); err != nil {
+	if err := obs.DropPartialTail(path); err != nil {
 		t.Fatal(err)
 	}
 	if got3, _ := os.ReadFile(path); len(got3) != 0 {

@@ -67,7 +67,7 @@ func TestTraceSurvivesCancellation(t *testing.T) {
 
 	// DropPartialTail must be a no-op: nothing to repair.
 	before := len(data)
-	if err := DropPartialTail(path); err != nil {
+	if err := obs.DropPartialTail(path); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(path)

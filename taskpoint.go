@@ -41,7 +41,6 @@
 package taskpoint
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -131,11 +130,9 @@ type (
 	ScenarioKnobs = gen.Knobs
 	// CorpusSpec declares a generated accuracy-stress campaign: N
 	// scenarios drawn across the family × knob grid, run under every
-	// listed policy against the detailed reference.
+	// listed policy against the detailed reference. SweepSpec expands it
+	// into the campaign NewSweep runs.
 	CorpusSpec = corpus.Spec
-	// CorpusPolicySummary aggregates one policy over a corpus (mean and
-	// worst-case error, speedup, CI coverage rate).
-	CorpusPolicySummary = corpus.PolicySummary
 	// Request declares one experiment cell for the unified engine: a
 	// workload (Table I name or "gen:" scenario spec) on one architecture
 	// at one thread count under one sampling policy. Zero-valued optional
@@ -147,7 +144,7 @@ type (
 	// policies — the stratified interval.
 	Report = engine.Report
 	// Engine is the unified, context-aware experiment engine behind the
-	// evaluation Runner, the sweep engine and the corpus harness. Build
+	// evaluation Runner and the sweep engine. Build
 	// one with NewEngine and drive it with Run or RunAll.
 	Engine = engine.Engine
 	// EngineOption configures NewEngine (WithWorkers, WithBaselineCache,
@@ -392,7 +389,7 @@ func ErrorPct(sampled, detailed *Result) float64 {
 
 // NewEngine builds a unified experiment engine. Defaults: one worker slot
 // per CPU, a private baseline cache, no progress observer. Every other
-// driver of the repository — NewRunner, NewSweep, RunCorpus and the
+// driver of the repository — NewRunner, NewSweep and the
 // command front ends — is a thin adapter over an Engine, so pooling,
 // baseline caching and cell identity behave identically everywhere.
 //
@@ -607,32 +604,7 @@ func ParseScenario(spec string) (*Scenario, error) { return gen.Parse(spec) }
 // DefaultCorpus returns a generated accuracy-stress campaign of n
 // scenarios at the default grid: all pattern families, the
 // high-performance architecture at 4 threads, lazy/periodic/stratified
-// policies, master seed 42.
+// policies, master seed 42. A corpus is a sweep: run it with
+// NewSweep(spec.SweepSpec()) and summarise it with SummarizeSweep, or
+// from the command line with cmd/sweep -corpus n.
 func DefaultCorpus(n int) CorpusSpec { return corpus.DefaultSpec(n) }
-
-// RunCorpus executes a corpus campaign across workers goroutines,
-// streaming JSONL records to out (nil discards) and skipping cells
-// already in completed (resume). See cmd/corpus for the command-line
-// front end.
-func RunCorpus(spec CorpusSpec, workers int, out io.Writer, completed map[string]SweepRecord,
-	onRecord func(done, total int, rec SweepRecord)) ([]SweepRecord, error) {
-	return corpus.Run(spec, workers, out, completed, onRecord)
-}
-
-// RunCorpusContext is RunCorpus with cooperative cancellation: in-flight
-// simulations stop promptly when ctx is cancelled and the remaining cells
-// fail with ctx's error.
-func RunCorpusContext(ctx context.Context, spec CorpusSpec, workers int, out io.Writer,
-	completed map[string]SweepRecord, onRecord func(done, total int, rec SweepRecord)) ([]SweepRecord, error) {
-	return corpus.RunContext(ctx, spec, workers, out, completed, onRecord)
-}
-
-// SummarizeCorpus folds corpus records into per-policy summaries: mean
-// and worst-case error, speedup, and CI coverage rate.
-func SummarizeCorpus(recs []SweepRecord) []CorpusPolicySummary { return corpus.Summarize(recs) }
-
-// RenderCorpusSummary renders per-policy corpus summaries as an aligned
-// text table.
-func RenderCorpusSummary(title string, sums []CorpusPolicySummary) string {
-	return corpus.RenderSummary(title, sums)
-}
