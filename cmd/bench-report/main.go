@@ -6,12 +6,22 @@
 // trajectory of the reproduction is recorded per change instead of
 // scrolling away in CI logs.
 //
+// Its gate mode compares two kernel-benchmark runs and fails on
+// regressions, playing benchstat's role in CI without a network install:
+// it reads `go test -bench` output or a bench-report JSON, takes the
+// median of repeated runs per benchmark, prints a benchstat-style delta
+// table, and exits 1 when ns/op regresses beyond 10% or allocs/op or
+// B/op beyond 5% plus 2 allocs or 64 bytes. -allocs-only skips the
+// ns/op gate, for a baseline measured on another machine.
+//
 // Usage:
 //
 //	bench-report                       # run every benchmark once, write BENCH_<date>.json
 //	bench-report -bench 'Fig9|Ablation' -benchtime 2x
 //	bench-report -corpus 25            # size the corpus section (0 skips it)
 //	go test -run '^$' -bench . . | bench-report -in -   # parse an existing run
+//	bench-report gate -old base.txt -new head.txt       # full gate
+//	bench-report gate -old bench/KERNEL_BASELINE.json -new head.txt -allocs-only
 package main
 
 import (
@@ -107,6 +117,9 @@ func runCorpus(ctx context.Context, n, workers int) (*CorpusReport, error) {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "gate" {
+		os.Exit(runGate(os.Args[2:]))
+	}
 	var (
 		benchRe   = flag.String("bench", ".", "benchmark regexp passed to go test -bench")
 		pkg       = flag.String("pkg", ".", "package to benchmark")
@@ -192,14 +205,20 @@ func main() {
 	if path == "" {
 		path = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "bench-report: wrote %d benchmarks to %s\n", len(rep.Benchmarks), path)
+}
+
+// writeReport writes rep to path as indented JSON, the layout the gate
+// mode reads back.
+func writeReport(path string, rep Report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ParseBenchOutput extracts benchmark results from `go test -bench`

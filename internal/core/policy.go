@@ -191,10 +191,3 @@ func policyForms() string {
 	}
 	return strings.Join(forms, ", ")
 }
-
-// StandardPolicies returns the resampling policies the paper evaluates
-// head to head (§V-C): lazy sampling and periodic sampling at the period
-// used for Figures 7-10.
-func StandardPolicies() []Policy {
-	return []Policy{Lazy{}, Periodic{P: 250}}
-}

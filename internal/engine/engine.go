@@ -91,7 +91,6 @@ type confidencePolicy interface {
 type Engine struct {
 	workers   int
 	cache     *BaselineCache
-	progress  func(done, total int, rep Report)
 	rec       *obs.Recorder
 	prof      *obs.SlowProfiler
 	cellFault func(key string) error
@@ -134,13 +133,6 @@ func WithBaselineCache(c *BaselineCache) Option {
 			e.cache = c
 		}
 	}
-}
-
-// WithProgress installs a completion observer: RunAll invokes it once per
-// successfully completed request, in deterministic request order, with
-// done counting completions so far and total the request count.
-func WithProgress(fn func(done, total int, rep Report)) Option {
-	return func(e *Engine) { e.progress = fn }
 }
 
 // WithRecorder attaches a flight recorder: the engine emits cell
@@ -521,7 +513,7 @@ func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, e
 		}()
 
 		pending := make(map[int]outcome)
-		next, done := 0, 0
+		next := 0
 		for received := 0; received < len(reqs); received++ {
 			o := <-out
 			pending[o.idx] = o
@@ -540,11 +532,7 @@ func (e *Engine) RunAll(ctx context.Context, reqs []Request) iter.Seq2[Report, e
 				default:
 				}
 				if po.err == nil {
-					done++
-					completed = done
-					if e.progress != nil {
-						e.progress(done, len(reqs), po.rep)
-					}
+					completed++
 				}
 				if !yield(po.rep, po.err) {
 					return

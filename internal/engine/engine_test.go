@@ -175,34 +175,6 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 	}
 }
 
-// TestRunAllProgressOrder: the progress observer sees successes in
-// deterministic order with a monotonically increasing done count.
-func TestRunAllProgressOrder(t *testing.T) {
-	reqs := testGrid()
-	var dones []int
-	var keys []string
-	eng := New(WithWorkers(4), WithProgress(func(done, total int, rep Report) {
-		if total != len(reqs) {
-			t.Errorf("progress total %d, want %d", total, len(reqs))
-		}
-		dones = append(dones, done)
-		keys = append(keys, rep.Request.Key())
-	}))
-	for _, err := range eng.RunAll(context.Background(), reqs) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range dones {
-		if dones[i] != i+1 {
-			t.Fatalf("done sequence %v not monotone", dones)
-		}
-		if keys[i] != reqs[i].Key() {
-			t.Fatalf("progress out of order at %d: %q", i, keys[i])
-		}
-	}
-}
-
 // TestRunAllPreCancelled: a context cancelled before iteration fails
 // every request with the cancellation error without simulating anything.
 func TestRunAllPreCancelled(t *testing.T) {

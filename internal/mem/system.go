@@ -92,7 +92,6 @@ type Stats struct {
 type System struct {
 	cfg       Config
 	lineShift uint
-	nCores    int
 	l1        []*Cache
 	l2        []*Cache // length nCores when private, 1 when shared
 	l3        *Cache
@@ -283,7 +282,6 @@ func NewSystem(cfg Config, nCores int) (*System, error) {
 	s := &System{
 		cfg:       cfg,
 		lineShift: uint(math.Log2(float64(cfg.LineSize))),
-		nCores:    nCores,
 		banks:     newChannel(cfg.BankCycles / float64(cfg.SharedBanks)),
 		dram:      newChannel(cfg.DRAMCyclesPerLine),
 	}
@@ -315,9 +313,6 @@ func NewSystem(cfg Config, nCores int) (*System, error) {
 	}
 	return s, nil
 }
-
-// NumCores returns the number of cores the system serves.
-func (s *System) NumCores() int { return s.nCores }
 
 // Stats returns a copy of the accumulated statistics.
 func (s *System) Stats() Stats { return s.stats }

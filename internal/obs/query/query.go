@@ -124,12 +124,7 @@ type Trace struct {
 	// mid-write) and was skipped — the read-side analogue of the
 	// DropPartialTail repair contract.
 	TornTail bool
-
-	byID map[uint64]*Span
 }
-
-// SpanByID resolves a span id (nil when unknown).
-func (t *Trace) SpanByID(id uint64) *Span { return t.byID[id] }
 
 // maxLine bounds one trace line; recorder lines are short, but minimized
 // fuzz specs or error strings can stretch them.
@@ -207,7 +202,8 @@ func ReadSpans(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Events: events, TornTail: torn, byID: make(map[uint64]*Span)}
+	t := &Trace{Events: events, TornTail: torn}
+	byID := make(map[uint64]*Span)
 	for _, ev := range events {
 		if ev.TNs > t.EndNs {
 			t.EndNs = ev.TNs
@@ -219,10 +215,10 @@ func ReadSpans(r io.Reader) (*Trace, error) {
 				StartNs: ev.TNs, StartSeq: ev.Seq, Open: true,
 				Begin: ev.Fields,
 			}
-			t.byID[s.ID] = s
+			byID[s.ID] = s
 			t.Spans = append(t.Spans, s)
 		case "span.end":
-			if s := t.byID[ev.Span]; s != nil {
+			if s := byID[ev.Span]; s != nil {
 				s.EndNs = ev.TNs
 				s.End = ev.Fields
 				s.Open = false
@@ -231,7 +227,7 @@ func ReadSpans(r io.Reader) (*Trace, error) {
 			t.Clean = true
 			t.Dropped = uint64(ev.Num("dropped"))
 		default:
-			if s := t.byID[ev.Span]; s != nil {
+			if s := byID[ev.Span]; s != nil {
 				s.Events = append(s.Events, ev)
 			}
 		}
@@ -240,7 +236,7 @@ func ReadSpans(r io.Reader) (*Trace, error) {
 		if s.Open {
 			s.EndNs = t.EndNs
 		}
-		if p := t.byID[s.Parent]; s.Parent != 0 && p != nil {
+		if p := byID[s.Parent]; s.Parent != 0 && p != nil {
 			p.Children = append(p.Children, s)
 		} else {
 			t.Roots = append(t.Roots, s)

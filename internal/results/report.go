@@ -81,35 +81,6 @@ func RenderSampled(title string, rows []SampledRow) string {
 	return b.String()
 }
 
-// RenderConfidence renders the confidence report of stratified runs: the
-// estimated total task cycles, the confidence interval, its relative
-// width, and whether the detailed reference's true total falls inside.
-// Rows without a Confidence (non-stratified policies) are skipped.
-func RenderConfidence(title string, rows []SampledRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", title)
-	b.WriteString("| Benchmark | T | strata | samples | est Mcycles | 95% CI [M] | ±width | true in CI |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|:---:|\n")
-	covered, total := 0, 0
-	for _, row := range rows {
-		c := row.Confidence
-		if c == nil {
-			continue
-		}
-		total++
-		mark := "no"
-		if c.Covers(row.DetailedTaskCycles) {
-			mark = "yes"
-			covered++
-		}
-		fmt.Fprintf(&b, "| %s | %d | %d | %d | %.2f | [%.2f, %.2f] | %.1f%% | %s |\n",
-			row.Bench, row.Threads, c.Strata, c.Sampled,
-			c.Estimate/1e6, c.Lo/1e6, c.Hi/1e6, 100*c.RelWidth()/2, mark)
-	}
-	fmt.Fprintf(&b, "\n%d of %d intervals cover the detailed reference.\n", covered, total)
-	return b.String()
-}
-
 // RenderSweep renders a Figure 6-style series.
 func RenderSweep(title, param string, points []SweepPoint) string {
 	var b strings.Builder

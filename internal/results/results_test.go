@@ -5,28 +5,12 @@ import (
 	"testing"
 
 	"taskpoint/internal/core"
-	"taskpoint/internal/strata"
 )
 
 // Tests run at a tiny scale (instance floor of 64) so the full grid stays
 // fast; determinism makes the assertions stable.
 
 const testScale = 1.0 / 256
-
-func TestConfigFor(t *testing.T) {
-	for _, arch := range []Arch{HighPerf, LowPower, Native} {
-		cfg, err := ConfigFor(arch, 4)
-		if err != nil {
-			t.Errorf("%s: %v", arch, err)
-		}
-		if cfg.Cores != 4 {
-			t.Errorf("%s: cores = %d", arch, cfg.Cores)
-		}
-	}
-	if _, err := ConfigFor("weird", 4); err == nil {
-		t.Error("unknown arch accepted")
-	}
-}
 
 func TestProgramCaching(t *testing.T) {
 	r := NewRunner(testScale, 1, 1)
@@ -231,27 +215,5 @@ func TestRenderers(t *testing.T) {
 	}
 	if s := RenderSummary(sr); !strings.Contains(s, "Paper") {
 		t.Error("summary render missing paper reference")
-	}
-}
-
-func TestRenderConfidence(t *testing.T) {
-	conf := strata.Confidence{
-		Strata: 12, Population: 465, Sampled: 133,
-		Estimate: 5.4e6, StdErr: 1.3e5, Lo: 5.13e6, Hi: 5.67e6, Z: 1.96,
-	}
-	rows := []SampledRow{
-		{Bench: "dedup", Threads: 8, Confidence: &conf, DetailedTaskCycles: 5.41e6},
-		{Bench: "cholesky", Threads: 8}, // no CI: must be skipped
-		{Bench: "dedup", Threads: 16, Confidence: &conf, DetailedTaskCycles: 9e6},
-	}
-	out := RenderConfidence("CI report", rows)
-	if !strings.Contains(out, "dedup") || strings.Contains(out, "cholesky") {
-		t.Errorf("confidence table rows wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "1 of 2 intervals cover the detailed reference") {
-		t.Errorf("coverage tally wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "yes") || !strings.Contains(out, "no") {
-		t.Errorf("coverage marks missing:\n%s", out)
 	}
 }

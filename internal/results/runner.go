@@ -41,17 +41,6 @@ const (
 	Native = arch.Native
 )
 
-// Arches returns the evaluated architectures in paper order.
-func Arches() []Arch { return arch.All() }
-
-// ParseArch resolves an architecture from its name or the common short
-// forms "hp", "lp" and "native". Unknown names report arch.ErrUnknown.
-func ParseArch(s string) (Arch, error) { return arch.Parse(s) }
-
-// ConfigFor returns the simulator configuration of arch with the given
-// thread count.
-func ConfigFor(a Arch, threads int) (sim.Config, error) { return arch.ConfigFor(a, threads) }
-
 // Runner executes and caches simulations through the unified experiment
 // engine. Detailed reference runs are cached by (benchmark, arch,
 // threads), so every figure shares its baselines. Runner is safe for

@@ -530,7 +530,7 @@ dispatch:
 // previous campaign already ran it. resolved reports that the cell is
 // done (or failed to address); otherwise runCell must compute it.
 func (s *Server) lookup(c *campaign, cell sweep.Cell) (req engine.Request, addr string, resolved bool) {
-	req = requestOf(cell, c.spec)
+	req = cell.Request(c.spec)
 	addr, err := store.ContentAddress(req)
 	if err != nil {
 		metricCellsFailed.Inc()
@@ -559,14 +559,35 @@ func (s *Server) lookup(c *campaign, cell sweep.Cell) (req engine.Request, addr 
 // else can observe the flight as complete. A computation that fails is
 // never shared: the campaigns waiting on it retry, and one of them
 // computes the cell itself.
+//
+// A missed cell reads the store twice, and both reads are needed. The
+// flight re-reads it because, between lookup's miss and this flight,
+// another campaign may have finished the same address and landed its
+// flight; without the re-read that window would simulate the cell
+// twice. lookup's read stays in the dispatcher, in cell order, because
+// hits must not wait for a cell goroutine: a prototype that read the
+// store only inside the flight raised serve-warm first_record_s from
+// ~2 ms to ~8 ms on 3 of 3 campbench pairs (2-vCPU VM), its store hits
+// queued behind CPU-bound cells.
 func (s *Server) runCell(c *campaign, cell sweep.Cell, req engine.Request, addr string) {
 	source := "computed"
 	rec, joined, err := s.reports.Do(addr, flight.Block(s.ctx.Done(), s.ctx.Err), func() (*sweep.Record, error) {
-		rec, stored, err := s.compute(addr, req, cell, c.spec)
-		if stored {
+		if rec, err := s.backend.Report(addr); err == nil {
 			source = "store"
+			return rec, nil
 		}
-		return rec, err
+		rep, err := s.eng.Run(s.ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		r := sweep.RecordOf(cell, c.spec, rep)
+		if err := s.backend.PutReport(addr, &r); err != nil {
+			// The result is good; only its persistence failed. Count it,
+			// serve it, and let a later campaign recompute.
+			metricCellsStoreErrors.Inc()
+			fmt.Fprintf(os.Stderr, "server: persisting %s: %v\n", addr[:12], err)
+		}
+		return &r, nil
 	})
 	if joined {
 		source = "joined"
@@ -586,43 +607,6 @@ func (s *Server) runCell(c *campaign, cell sweep.Cell, req engine.Request, addr 
 		metricCellsComputed.Inc()
 	}
 	c.cellDone(cell.Key(), addr, source, rec)
-}
-
-// compute simulates one cell and persists its record. The store is
-// re-checked first (stored reports a hit): between this campaign's store
-// miss and its flight, another campaign may have finished the same
-// address and landed its flight — without the re-check that window would
-// simulate the cell twice.
-func (s *Server) compute(addr string, req engine.Request, cell sweep.Cell, spec sweep.Spec) (rec *sweep.Record, stored bool, err error) {
-	if rec, err := s.backend.Report(addr); err == nil {
-		return rec, true, nil
-	}
-	rep, err := s.eng.Run(s.ctx, req)
-	if err != nil {
-		return nil, false, err
-	}
-	r := sweep.RecordOf(cell, spec, rep)
-	if err := s.backend.PutReport(addr, &r); err != nil {
-		// The result is good; only its persistence failed. Count it,
-		// serve it, and let a later campaign recompute.
-		metricCellsStoreErrors.Inc()
-		fmt.Fprintf(os.Stderr, "server: persisting %s: %v\n", addr[:12], err)
-	}
-	return &r, false, nil
-}
-
-// requestOf maps one sweep cell to the engine request the server
-// executes and addresses.
-func requestOf(cell sweep.Cell, spec sweep.Spec) engine.Request {
-	return engine.Request{
-		Workload: cell.Bench,
-		Arch:     string(cell.Arch),
-		Threads:  cell.Threads,
-		Scale:    spec.Scale,
-		Seed:     cell.Seed,
-		Policy:   cell.Policy,
-		Params:   spec.Params(),
-	}
 }
 
 // --- durable campaign bookkeeping ---

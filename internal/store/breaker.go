@@ -61,7 +61,6 @@ type Breaker struct {
 	base, max time.Duration
 	now       func() time.Time
 	rng       uint64 // splitmix64 state for jitter
-	rec       *obs.Recorder
 }
 
 // BreakerOption configures a Breaker.
@@ -97,13 +96,6 @@ func WithClock(now func() time.Time) BreakerOption {
 // WithJitterSeed seeds the jitter stream, making cooldowns reproducible.
 func WithJitterSeed(seed uint64) BreakerOption {
 	return func(b *Breaker) { b.rng = seed | 1 }
-}
-
-// WithBreakerRecorder attaches a flight recorder: the breaker emits
-// store.degraded / store.retry / store.healed events on state changes.
-// A nil recorder (the default) is the free disabled path.
-func WithBreakerRecorder(rec *obs.Recorder) BreakerOption {
-	return func(b *Breaker) { b.rec = rec }
 }
 
 // NewBreaker wraps inner in a circuit breaker.
@@ -146,7 +138,6 @@ func (b *Breaker) allow() bool {
 		}
 		b.state = stateHalfOpen
 		metricRetry.Inc()
-		b.rec.Emit("store.retry", obs.Int("opening", b.openings), obs.Float("cooldown_ms", float64(b.cooldown.Milliseconds())))
 		return true
 	default: // half-open: one probe is already in flight
 		metricUnavailable.Inc()
@@ -166,7 +157,6 @@ func (b *Breaker) record(err error) {
 		b.failures = 0
 		b.openings = 0
 		metricDegradedActive.Set(0)
-		b.rec.Emit("store.healed")
 		fmt.Fprintln(os.Stderr, "store: backend healed, leaving degraded mode")
 	case ok:
 		b.failures = 0
@@ -199,10 +189,6 @@ func (b *Breaker) open(cause error) {
 	}
 	metricDegraded.Inc()
 	metricDegradedActive.Set(1)
-	b.rec.Emit("store.degraded",
-		obs.String("cause", cause.Error()),
-		obs.Float("cooldown_ms", float64(cool.Milliseconds())),
-		obs.Int("opening", b.openings))
 	fmt.Fprintf(os.Stderr, "store: degraded (cause: %v); retrying backend in %v\n", cause, cool.Round(time.Millisecond))
 }
 

@@ -195,15 +195,7 @@ func (e *Engine) RunContext(ctx context.Context, out io.Writer, completed map[st
 			continue
 		}
 		pending = append(pending, i)
-		reqs = append(reqs, engine.Request{
-			Workload: c.Bench,
-			Arch:     string(c.Arch),
-			Threads:  c.Threads,
-			Scale:    e.spec.Scale,
-			Seed:     c.Seed,
-			Policy:   c.Policy,
-			Params:   params,
-		})
+		reqs = append(reqs, c.Request(e.spec))
 	}
 
 	eng := engine.New(engine.WithWorkers(e.workers), engine.WithRecorder(e.Recorder),

@@ -17,10 +17,10 @@ package sweep
 import (
 	"fmt"
 
+	"taskpoint/internal/arch"
 	"taskpoint/internal/bench"
 	"taskpoint/internal/core"
 	"taskpoint/internal/engine"
-	"taskpoint/internal/results"
 )
 
 // Spec declares a design-space sweep. Every listed dimension is expanded
@@ -34,7 +34,7 @@ type Spec struct {
 	Scale float64 `json:"scale"`
 	// Benchmarks are Table I benchmark names.
 	Benchmarks []string `json:"benchmarks"`
-	// Archs are architecture names accepted by results.ParseArch
+	// Archs are architecture names accepted by arch.Parse
 	// ("high-performance"/"hp", "low-power"/"lp", "native").
 	Archs []string `json:"archs"`
 	// Threads are the simulated thread counts.
@@ -60,7 +60,7 @@ func DefaultSpec() Spec {
 		Name:       "default",
 		Scale:      1.0 / 32,
 		Benchmarks: []string{"cholesky", "3d-stencil", "knn", "vector-operation"},
-		Archs:      []string{string(results.HighPerf), string(results.LowPower)},
+		Archs:      []string{string(arch.HighPerf), string(arch.LowPower)},
 		Threads:    []int{2, 8},
 		Policies:   []string{"lazy", "periodic(250)"},
 		Seeds:      []uint64{42},
@@ -98,7 +98,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no architectures listed")
 	}
 	for _, a := range s.Archs {
-		if _, err := results.ParseArch(a); err != nil {
+		if _, err := arch.Parse(a); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
@@ -132,7 +132,7 @@ func (s *Spec) Validate() error {
 // comparison.
 type Cell struct {
 	Bench   string
-	Arch    results.Arch
+	Arch    arch.Arch
 	Threads int
 	// Policy is the canonical policy name (core.Policy.Name form).
 	Policy string
@@ -147,6 +147,20 @@ func (c Cell) Key() string {
 	return engine.CellKey(c.Bench, string(c.Arch), c.Threads, c.Policy, c.Seed)
 }
 
+// Request is the engine request that computes the cell under spec's
+// campaign configuration (scale and sampling parameters).
+func (c Cell) Request(spec Spec) engine.Request {
+	return engine.Request{
+		Workload: c.Bench,
+		Arch:     string(c.Arch),
+		Threads:  c.Threads,
+		Scale:    spec.Scale,
+		Seed:     c.Seed,
+		Policy:   c.Policy,
+		Params:   spec.Params(),
+	}
+}
+
 // Cells expands the spec into its cartesian product in deterministic
 // seed-major, benchmark-, arch-, thread-, policy-minor order. The spec
 // must have been validated; unknown names panic here.
@@ -159,7 +173,7 @@ func (s *Spec) Cells() []Cell {
 	for _, seed := range seeds {
 		for _, b := range s.Benchmarks {
 			for _, a := range s.Archs {
-				arch, err := results.ParseArch(a)
+				ar, err := arch.Parse(a)
 				if err != nil {
 					panic(err)
 				}
@@ -171,7 +185,7 @@ func (s *Spec) Cells() []Cell {
 						}
 						cells = append(cells, Cell{
 							Bench:   b,
-							Arch:    arch,
+							Arch:    ar,
 							Threads: t,
 							Policy:  pol.Name(),
 							Seed:    seed,

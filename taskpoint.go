@@ -148,7 +148,7 @@ type (
 	// one with NewEngine and drive it with Run or RunAll.
 	Engine = engine.Engine
 	// EngineOption configures NewEngine (WithWorkers, WithBaselineCache,
-	// WithProgress).
+	// WithRecorder).
 	EngineOption = engine.Option
 	// BaselineCache caches generated programs and detailed reference
 	// results across cells and engines.
@@ -404,12 +404,6 @@ func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
 // WithBaselineCache shares a baseline cache across engines, so detailed
 // references computed by one campaign are reused by the next.
 func WithBaselineCache(c *BaselineCache) EngineOption { return engine.WithBaselineCache(c) }
-
-// WithProgress installs a completion observer invoked once per
-// successfully completed RunAll request, in deterministic request order.
-func WithProgress(fn func(done, total int, rep Report)) EngineOption {
-	return engine.WithProgress(fn)
-}
 
 // WithRecorder attaches a flight recorder to an engine: cell lifecycle,
 // baseline-cache outcomes and sampler phase transitions are traced as
