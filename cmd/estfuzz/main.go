@@ -71,8 +71,6 @@ func main() {
 		tracePath  = flag.String("trace", "", "append a flight-recorder JSONL trace of the campaign to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/obs, /debug/obs/campaign, /debug/vars and /debug/pprof on this address while running")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file")
-		profSlow   = flag.Duration("profile-slow", 0, "capture a CPU profile (slow-NNN-<cell>.pprof) of any cell running longer than this")
-		profDir    = flag.String("profile-dir", ".", "directory for -profile-slow captures")
 	)
 	flag.Parse()
 
@@ -104,16 +102,6 @@ func main() {
 		MinTasks: *minTasks, MaxTasks: *maxTasks,
 		Minimize: *minimize, Workers: *workers,
 		Recorder: rec,
-	}
-	if *profSlow > 0 {
-		prof := obs.NewSlowProfiler(*profSlow, *profDir)
-		defer func() {
-			prof.Close()
-			if n := prof.Captures(); n > 0 && !*quiet {
-				fmt.Fprintf(os.Stderr, "captured %d slow-cell CPU profiles in %s\n", n, *profDir)
-			}
-		}()
-		cfg.SlowProfiler = prof
 	}
 	if *policies != "" {
 		cfg.Policies = splitCSV(*policies)

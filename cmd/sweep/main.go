@@ -24,7 +24,6 @@
 //	sweep -out -                       # stream JSONL to stdout (no resume)
 //	sweep -print-spec                  # show the effective spec and exit
 //	sweep -trace t.jsonl -debug-addr 127.0.0.1:6060  # observability
-//	sweep -trace t.jsonl -profile-slow 30s           # profile straggler cells
 //
 // A recorded trace is analyzed offline with obsq (cost attribution,
 // critical path, cache economics); with -debug-addr the same report is
@@ -78,8 +77,6 @@ func main() {
 		tracePath  = flag.String("trace", "", "append a flight-recorder JSONL trace of the campaign to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/obs, /debug/obs/campaign, /debug/vars and /debug/pprof on this address while running")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file")
-		profSlow   = flag.Duration("profile-slow", 0, "capture a CPU profile (slow-NNN-<cell>.pprof) of any cell running longer than this")
-		profDir    = flag.String("profile-dir", ".", "directory for -profile-slow captures")
 	)
 	flag.Parse()
 
@@ -125,16 +122,6 @@ func main() {
 		}
 		defer rec.Close()
 		eng.Recorder = rec
-	}
-	if *profSlow > 0 {
-		prof := obs.NewSlowProfiler(*profSlow, *profDir)
-		defer func() {
-			prof.Close()
-			if n := prof.Captures(); n > 0 && !*quiet {
-				fmt.Fprintf(os.Stderr, "captured %d slow-cell CPU profiles in %s\n", n, *profDir)
-			}
-		}()
-		eng.SlowProfiler = prof
 	}
 
 	// "-out -" streams JSONL to stdout (no resume); anything else appends

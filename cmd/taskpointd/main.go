@@ -69,7 +69,6 @@ func main() {
 	if inj.Enabled() {
 		fmt.Fprintf(os.Stderr, "taskpointd: fault injection armed: %s\n", inj.Spec().String())
 	}
-	fault.SetDefault(inj)
 
 	st, err := store.Open(*storeDir)
 	if err != nil {

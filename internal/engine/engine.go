@@ -17,6 +17,7 @@ import (
 	"iter"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"time"
 
 	"taskpoint/internal/arch"
@@ -92,7 +93,6 @@ type Engine struct {
 	workers   int
 	cache     *BaselineCache
 	rec       *obs.Recorder
-	prof      *obs.SlowProfiler
 	cellFault func(key string) error
 	pool      *pool
 }
@@ -141,14 +141,6 @@ func WithBaselineCache(c *BaselineCache) Option {
 // sites compile to immediate returns.
 func WithRecorder(r *obs.Recorder) Option {
 	return func(e *Engine) { e.rec = r }
-}
-
-// WithSlowProfiler attaches a slow-cell profiler: every cell registers
-// with it for the duration of its run, so cells exceeding the profiler's
-// threshold get a pprof CPU capture. A nil profiler (the default) is the
-// free disabled path.
-func WithSlowProfiler(p *obs.SlowProfiler) Option {
-	return func(e *Engine) { e.prof = p }
 }
 
 // WithCellFault installs a fault hook invoked with the cell key at the
@@ -321,9 +313,14 @@ func (e *Engine) runCell(ctx context.Context, req Request, s *slot) (Report, err
 		obs.String("policy", n.Policy),
 		obs.Uint64("seed", n.Seed))
 	ctx = obs.ContextWithSpan(ctx, sp)
-	cellDone := e.prof.CellStarted(key)
-	rep, err := e.runSafe(ctx, req, key, s)
-	cellDone()
+	// The body runs under the pprof label cell=<key>, so every CPU or
+	// goroutine profile sample it takes, baseline run included, names
+	// its cell: `go tool pprof -tagfocus 'cell=<key>'` isolates one.
+	var rep Report
+	var err error
+	pprof.Do(ctx, pprof.Labels("cell", key), func(ctx context.Context) {
+		rep, err = e.runSafe(ctx, req, key, s)
+	})
 	if err != nil {
 		metricCellsFailed.Inc()
 		sp.Emit("cell.error", obs.String("key", key), obs.String("err", err.Error()))

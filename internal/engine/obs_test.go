@@ -5,6 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime/pprof"
+	"strings"
 	"testing"
 
 	"taskpoint/internal/obs"
@@ -105,5 +109,52 @@ func TestRunEmitsFlightRecorderEvents(t *testing.T) {
 	}
 	if kinds["cache.miss"] == 0 {
 		t.Errorf("fresh cache produced no cache.miss event (kinds: %v)", kinds)
+	}
+}
+
+// TestCellBodyRunsUnderPprofLabel: a cell's body, through Run and through
+// RunAll, runs under the pprof label cell=<Request.Key()>, so a profile
+// taken while it runs attributes its samples to that cell. The fault hook
+// fires inside the body; it takes a goroutine profile there and fails
+// the cell with errLabelled when the profile carries the cell's label,
+// so no simulation runs.
+func TestCellBodyRunsUnderPprofLabel(t *testing.T) {
+	reqs := []Request{
+		{Workload: "gen:forkjoin(tasks=16,mean=200)", Threads: 2, Scale: 1, Seed: 1},
+		{Workload: "gen:forkjoin(tasks=16,mean=200)", Threads: 2, Scale: 1, Seed: 2, Policy: "periodic:50"},
+		{Workload: "gen:pipeline(tasks=16,mean=200)", Threads: 4, Scale: 1, Seed: 3},
+	}
+	keys := map[string]bool{faultReq.Key(): true}
+	for _, r := range reqs {
+		keys[r.Key()] = true
+	}
+	errLabelled := errors.New("cell label present")
+	eng := New(WithWorkers(2), WithCellFault(func(key string) error {
+		if !keys[key] {
+			return fmt.Errorf("hook saw key %q, not a Request.Key()", key)
+		}
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			return err
+		}
+		want := fmt.Sprintf("%q:%q", "cell", key)
+		if !strings.Contains(buf.String(), want) {
+			return fmt.Errorf("goroutine profile lacks label %s", want)
+		}
+		return errLabelled
+	}))
+
+	if _, err := eng.Run(context.Background(), faultReq); !errors.Is(err, errLabelled) {
+		t.Fatalf("Run: %v", err)
+	}
+	n := 0
+	for _, err := range eng.RunAll(context.Background(), reqs) {
+		if !errors.Is(err, errLabelled) {
+			t.Fatalf("RunAll cell %d: %v", n, err)
+		}
+		n++
+	}
+	if n != len(reqs) {
+		t.Fatalf("RunAll yielded %d cells, want %d", n, len(reqs))
 	}
 }

@@ -403,18 +403,3 @@ func (i *Injector) Crash(point string) {
 	fmt.Fprintf(os.Stderr, "fault: injected crash at %q\n", point)
 	osExit(CrashExitCode)
 }
-
-// The process-default injector, consulted by package-level Crash calls
-// placed inside the server: crash points sit deep in code that has no
-// injector parameter, by design — a crash plan must not require
-// plumbing through every layer it can kill.
-var defaultInjector atomic.Pointer[Injector]
-
-// SetDefault installs the process-default injector (nil disables).
-func SetDefault(i *Injector) { defaultInjector.Store(i) }
-
-// Default returns the process-default injector; nil when disabled.
-func Default() *Injector { return defaultInjector.Load() }
-
-// Crash triggers the named crash point on the process-default injector.
-func Crash(point string) { Default().Crash(point) }

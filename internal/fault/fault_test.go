@@ -142,14 +142,6 @@ func TestCrashPoint(t *testing.T) {
 	if len(exited) != 1 || exited[0] != CrashExitCode {
 		t.Fatalf("armed crash point: exits %v", exited)
 	}
-
-	// Default-injector plumbing: package-level Crash consults SetDefault.
-	SetDefault(inj)
-	defer SetDefault(nil)
-	Crash("armed")
-	if len(exited) != 2 {
-		t.Fatal("package-level Crash did not reach the default injector")
-	}
 }
 
 var osExitReal = osExit
@@ -187,7 +179,6 @@ func TestFaultyStoreErrorsAndTornWrites(t *testing.T) {
 	if s := WrapDisk(disk, nil); s != store.Store(disk) {
 		t.Fatal("nil injector should not wrap")
 	}
-	var _ = WrapStore(disk, NewInjector(Spec{Seed: 1, PartialRead: 1}))
 }
 
 func TestFaultyStorePartialRead(t *testing.T) {

@@ -9,43 +9,32 @@ import (
 	"taskpoint/internal/sweep"
 )
 
-// faultyStore wraps a store.Store with the injector's store-seam faults:
-// operation errors, added latency, partial (torn) reads, and — when the
-// inner store is the disk store — genuinely torn writes, produced by
-// truncating the just-written entry mid-payload exactly as a crash
-// between write and sync would. A torn entry is real corruption: the
-// disk store's verified read quarantines it and reports a miss, which is
-// the recovery path under test.
+// faultyStore wraps a disk store with the injector's store-seam faults:
+// operation errors, added latency, partial (torn) reads, and genuinely
+// torn writes, produced by truncating the just-written entry mid-payload
+// exactly as a crash between write and sync would. A torn entry is real
+// corruption: the disk store's verified read quarantines it and reports
+// a miss, which is the recovery path under test.
 type faultyStore struct {
-	inner store.Store
-	disk  *store.DiskStore // non-nil when torn writes can be materialized
-	inj   *Injector
-}
-
-// WrapStore applies the injector's store faults to inner. A nil or
-// store-quiet injector returns inner unchanged. Torn-write injection
-// needs disk access and is only active through WrapDisk.
-func WrapStore(inner store.Store, inj *Injector) store.Store {
-	if !inj.StoreFaultsEnabled() {
-		return inner
-	}
-	return &faultyStore{inner: inner, inj: inj}
+	disk *store.DiskStore
+	inj  *Injector
 }
 
 // WrapDisk applies the injector's store faults to a disk store,
-// including torn writes against its on-disk entries.
+// including torn writes against its on-disk entries. A nil or
+// store-quiet injector returns d unchanged.
 func WrapDisk(d *store.DiskStore, inj *Injector) store.Store {
 	if !inj.StoreFaultsEnabled() {
 		return d
 	}
-	return &faultyStore{inner: d, disk: d, inj: inj}
+	return &faultyStore{disk: d, inj: inj}
 }
 
 func (s *faultyStore) Baseline(addr string) (*sim.Result, error) {
 	if err := s.inj.StoreOp("baseline.load"); err != nil {
 		return nil, err
 	}
-	res, err := s.inner.Baseline(addr)
+	res, err := s.disk.Baseline(addr)
 	if err == nil {
 		if perr := s.inj.PartialRead("baseline.load"); perr != nil {
 			return nil, perr
@@ -58,7 +47,7 @@ func (s *faultyStore) PutBaseline(addr string, res *sim.Result) error {
 	if err := s.inj.StoreOp("baseline.put"); err != nil {
 		return err
 	}
-	if err := s.inner.PutBaseline(addr, res); err != nil {
+	if err := s.disk.PutBaseline(addr, res); err != nil {
 		return err
 	}
 	s.maybeTear(addr)
@@ -69,7 +58,7 @@ func (s *faultyStore) Report(addr string) (*sweep.Record, error) {
 	if err := s.inj.StoreOp("report.load"); err != nil {
 		return nil, err
 	}
-	rec, err := s.inner.Report(addr)
+	rec, err := s.disk.Report(addr)
 	if err == nil {
 		if perr := s.inj.PartialRead("report.load"); perr != nil {
 			return nil, perr
@@ -82,7 +71,7 @@ func (s *faultyStore) PutReport(addr string, rec *sweep.Record) error {
 	if err := s.inj.StoreOp("report.put"); err != nil {
 		return err
 	}
-	if err := s.inner.PutReport(addr, rec); err != nil {
+	if err := s.disk.PutReport(addr, rec); err != nil {
 		return err
 	}
 	s.maybeTear(addr)
@@ -94,7 +83,7 @@ func (s *faultyStore) PutReport(addr string, rec *sweep.Record) error {
 // read quarantines it — corruption costs a recomputation, never a wrong
 // result, and the chaos harness asserts exactly that.
 func (s *faultyStore) maybeTear(addr string) {
-	if s.disk == nil || !s.inj.TornWrite() {
+	if !s.inj.TornWrite() {
 		return
 	}
 	path, err := s.disk.EntryPath(addr)

@@ -91,10 +91,6 @@ type Config struct {
 	// events and is threaded into the experiment engine. Excluded from
 	// the fingerprint and from serialized configs.
 	Recorder *obs.Recorder `json:"-"`
-	// SlowProfiler, when non-nil, is threaded into the experiment engine
-	// so cells exceeding its threshold get a pprof CPU capture. Excluded
-	// from the fingerprint and from serialized configs.
-	SlowProfiler *obs.SlowProfiler `json:"-"`
 }
 
 // Normalized returns the config with every defaulted field filled — what
@@ -272,8 +268,9 @@ func (f Finding) Key() string {
 }
 
 // Driver runs fuzz rounds over one experiment engine. Rounds execute
-// sequentially (the unit of resumable state); the cells within a round and
-// the detailed reference they share use the engine's worker pool.
+// sequentially (the unit of resumable state); the cells within a round
+// run as one campaign over the engine's worker pool and share its
+// detailed reference.
 type Driver struct {
 	cfg Config
 	eng *engine.Engine
@@ -287,23 +284,32 @@ func New(cfg Config) (*Driver, error) {
 	n := cfg.Normalized()
 	return &Driver{cfg: n, eng: engine.New(
 		engine.WithWorkers(n.Workers),
-		engine.WithRecorder(n.Recorder),
-		engine.WithSlowProfiler(n.SlowProfiler))}, nil
+		engine.WithRecorder(n.Recorder))}, nil
 }
 
 // Config returns the driver's normalized configuration.
 func (d *Driver) Config() Config { return d.cfg }
 
-// evaluate runs one cell and returns its finding-shaped outcome (Classes
-// empty when the cell honours the contract).
-func (d *Driver) evaluate(ctx context.Context, spec, policy string, seed uint64, round int) (Finding, error) {
-	rep, err := d.eng.Run(ctx, engine.Request{
+// request is the cell of spec under policy at the request seed.
+func (d *Driver) request(spec, policy string, seed uint64) engine.Request {
+	return engine.Request{
 		Workload: spec, Arch: d.cfg.Arch, Threads: d.cfg.Threads,
 		Seed: seed, Policy: policy,
-	})
+	}
+}
+
+// evaluate runs one cell and returns its finding-shaped outcome.
+func (d *Driver) evaluate(ctx context.Context, spec, policy string, seed uint64, round int) (Finding, error) {
+	rep, err := d.eng.Run(ctx, d.request(spec, policy, seed))
 	if err != nil {
 		return Finding{}, err
 	}
+	return d.finding(rep, spec, policy, seed, round), nil
+}
+
+// finding classifies a cell's report against the contract (Classes empty
+// when the cell honours it).
+func (d *Driver) finding(rep engine.Report, spec, policy string, seed uint64, round int) Finding {
 	f := Finding{
 		Round: round, Spec: spec, Policy: rep.Request.Policy,
 		Arch: rep.Request.Arch, Threads: rep.Request.Threads, Seed: seed,
@@ -320,12 +326,13 @@ func (d *Driver) evaluate(ctx context.Context, spec, policy string, seed uint64,
 		f.EstTotalCycles, f.CILo, f.CIHi = c.Estimate, c.Lo, c.Hi
 	}
 	f.Classes = strata.Classify(rep.Confidence, chk)
-	return f, nil
+	return f
 }
 
-// Round executes fuzz round i: draw the scenario, compute its detailed
-// reference once, run every policy against it, classify, and (when
-// configured) minimize each violating cell to a 1-minimal reproducer.
+// Round executes fuzz round i: draw the scenario, run every policy
+// against it as one campaign over the engine's worker pool (the detailed
+// reference is computed once), classify, and (when configured) minimize
+// each violating cell, in policy order, to a 1-minimal reproducer.
 // The round's workloads are evicted from the baseline cache before
 // returning, so unbounded campaigns run in bounded memory.
 func (d *Driver) Round(ctx context.Context, i int) ([]Finding, error) {
@@ -347,14 +354,24 @@ func (d *Driver) Round(ctx context.Context, i int) ([]Finding, error) {
 		}
 	}()
 
-	var findings []Finding
-	for _, policy := range d.cfg.Policies {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		f, err := d.evaluate(ctx, spec, policy, seed, i)
+	reqs := make([]engine.Request, len(d.cfg.Policies))
+	for k, policy := range d.cfg.Policies {
+		reqs[k] = d.request(spec, policy, seed)
+	}
+	cells := make([]Finding, 0, len(reqs))
+	for rep, err := range d.eng.RunAll(ctx, reqs) {
+		policy := d.cfg.Policies[len(cells)]
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: round %d %s: %w", i, policy, err)
+		}
+		cells = append(cells, d.finding(rep, spec, policy, seed, i))
+	}
+
+	var findings []Finding
+	for k, f := range cells {
+		policy := d.cfg.Policies[k]
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		if len(f.Classes) == 0 {
 			continue

@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"taskpoint/internal/arch"
 	"taskpoint/internal/gen"
-	"taskpoint/internal/results"
 	"taskpoint/internal/sweep"
 )
 
@@ -63,7 +63,7 @@ func (s Spec) Normalized() Spec {
 		s.Families = gen.FamilyNames()
 	}
 	if s.Arch == "" {
-		s.Arch = string(results.HighPerf)
+		s.Arch = string(arch.HighPerf)
 	}
 	if s.Threads == 0 {
 		s.Threads = 4

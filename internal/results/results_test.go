@@ -96,6 +96,30 @@ func TestFigureGridAndAverages(t *testing.T) {
 	}
 }
 
+// TestAveragesFollowThreadColumns: rows given at 64 and then 8 threads
+// average in ascending thread order, so RenderSampled's average row sits
+// under the columns of its own thread count.
+func TestAveragesFollowThreadColumns(t *testing.T) {
+	rows := []SampledRow{
+		{Bench: "a", Threads: 64, ErrPct: 10, SpeedupWall: 20},
+		{Bench: "a", Threads: 8, ErrPct: 1, SpeedupWall: 2},
+	}
+	avgs := AverageByThreads(rows)
+	if len(avgs) != 2 || avgs[0].Threads != 8 || avgs[1].Threads != 64 {
+		t.Fatalf("averages by threads %+v, want 8 then 64", avgs)
+	}
+	out := RenderSampled("t", rows)
+	for _, want := range []string{
+		"| Benchmark | err%@8T | spd@8T | err%@64T | spd@64T |",
+		"| a | 1.0 | 2.0 | 10.0 | 20.0 |",
+		"| **average** | 1.0 | 2.0 | 10.0 | 20.0 |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered table lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // impostorLazy spells its name like the parseable lazy policy but
 // behaves differently: it resamples on every fast-retired instance.
 type impostorLazy struct{}

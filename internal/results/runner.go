@@ -13,7 +13,9 @@ package results
 
 import (
 	"context"
+	"maps"
 	"reflect"
+	"slices"
 	"time"
 
 	"taskpoint/internal/arch"
@@ -263,18 +265,15 @@ func Aggregate(errPct, wallSpeedup, detSpeedup, detailFrac []float64) Averages {
 	}
 }
 
-// AverageByThreads folds figure rows into per-thread-count averages.
+// AverageByThreads folds figure rows into per-thread-count averages, in
+// ascending thread-count order — the column order of RenderSampled.
 func AverageByThreads(rows []SampledRow) []Averages {
 	byT := map[int][]SampledRow{}
-	var order []int
 	for _, row := range rows {
-		if _, ok := byT[row.Threads]; !ok {
-			order = append(order, row.Threads)
-		}
 		byT[row.Threads] = append(byT[row.Threads], row)
 	}
 	var out []Averages
-	for _, t := range order {
+	for _, t := range slices.Sorted(maps.Keys(byT)) {
 		group := byT[t]
 		var errs, wall, det, frac []float64
 		for _, row := range group {

@@ -124,10 +124,6 @@ type Engine struct {
 	// flight recorder sees cell lifecycle, cache and sampler events. A nil
 	// recorder is the free disabled path.
 	Recorder *obs.Recorder
-
-	// SlowProfiler, when set, is threaded into the experiment engine so
-	// cells exceeding its threshold get a pprof CPU capture.
-	SlowProfiler *obs.SlowProfiler
 }
 
 // New validates the spec and builds an engine with the given worker
@@ -198,8 +194,7 @@ func (e *Engine) RunContext(ctx context.Context, out io.Writer, completed map[st
 		reqs = append(reqs, c.Request(e.spec))
 	}
 
-	eng := engine.New(engine.WithWorkers(e.workers), engine.WithRecorder(e.Recorder),
-		engine.WithSlowProfiler(e.SlowProfiler))
+	eng := engine.New(engine.WithWorkers(e.workers), engine.WithRecorder(e.Recorder))
 	var enc *json.Encoder
 	if out != nil {
 		enc = json.NewEncoder(out)

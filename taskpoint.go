@@ -42,13 +42,11 @@ package taskpoint
 
 import (
 	"io"
-	"time"
 
 	"taskpoint/internal/arch"
 	"taskpoint/internal/bench"
 	"taskpoint/internal/core"
 	"taskpoint/internal/engine"
-	"taskpoint/internal/fault"
 	"taskpoint/internal/gen"
 	"taskpoint/internal/gen/corpus"
 	"taskpoint/internal/obs"
@@ -173,10 +171,6 @@ type (
 	// matching span.end. The zero Span is a valid no-op, so span-
 	// instrumented code needs no nil checks when tracing is disabled.
 	Span = obs.Span
-	// SlowProfiler watches in-flight experiment cells and captures a CPU
-	// profile of any cell that runs longer than a threshold. Built by
-	// NewSlowProfiler, attached with WithSlowProfiler.
-	SlowProfiler = obs.SlowProfiler
 	// CampaignTrace is a parsed flight-recorder trace: the span tree plus
 	// the raw events, as rebuilt by ReadSpans from the JSONL a Recorder
 	// wrote. Interrupted traces parse too (Clean=false, open spans pinned
@@ -188,13 +182,10 @@ type (
 	// purely from trace content, so the same trace always yields the
 	// byte-identical report.
 	ObsqReport = query.Report
-	// Store is the content-addressed persistent result store behind the
-	// campaign service (cmd/taskpointd): detailed baseline results and
-	// finished cell reports keyed by the SHA-256 of their request's
-	// canonical form. DiskStore is the local implementation; the
-	// interface is the seam for a remote backend.
-	Store = store.Store
-	// DiskStore is the local sharded store (<root>/ab/cdef..., atomic
+	// DiskStore is the content-addressed persistent result store behind
+	// the campaign service (cmd/taskpointd): detailed baseline results
+	// and finished cell reports keyed by the SHA-256 of their request's
+	// canonical form, in a local sharded tree (<root>/ab/cdef..., atomic
 	// rename writes, checksum-verified reads that quarantine corrupt
 	// entries). Open one with OpenStore.
 	DiskStore = store.DiskStore
@@ -206,27 +197,6 @@ type (
 	// across processes. DiskStore.Tier() adapts a store into one;
 	// install it with BaselineCache.SetTier.
 	BaselineTier = engine.BaselineTier
-	// StoreBreaker is a circuit breaker over a Store: after consecutive
-	// backend failures it opens and answers ErrStoreUnavailable without
-	// touching the backend, probing again after a jittered exponential
-	// backoff. Callers treat its errors as misses, so a sick store
-	// degrades campaigns to compute-only instead of failing them. Build
-	// one with NewStoreBreaker.
-	StoreBreaker = store.Breaker
-	// StoreBreakerOption configures NewStoreBreaker (failure threshold,
-	// backoff bounds, clock and jitter seed for tests).
-	StoreBreakerOption = store.BreakerOption
-	// FaultSpec declares a deterministic fault-injection campaign:
-	// per-seam probabilities (store errors, torn writes, partial reads,
-	// HTTP faults, cell errors/panics), injected latency, and armed
-	// crash points, all derived from one seed. Parse one from its
-	// "seed=7,store.err=0.2,..." string form with ParseFaultSpec.
-	FaultSpec = fault.Spec
-	// FaultInjector evaluates a FaultSpec deterministically per site: the
-	// same seed and call sequence injects the same faults. A nil
-	// *FaultInjector is a valid no-op — the free disabled path every
-	// production build takes.
-	FaultInjector = fault.Injector
 )
 
 // Detailed returns the decision that simulates an instance cycle-level.
@@ -428,43 +398,6 @@ func OpenStore(dir string) (*DiskStore, error) { return store.Open(dir) }
 // errors.Is.
 var ErrStoreNotFound = store.ErrNotFound
 
-// NewStoreBreaker wraps a store in a circuit breaker. With default
-// options it opens after 5 consecutive failures and probes again after a
-// jittered exponential backoff (0.5s base doubling to 30s); tune with
-// StoreBreakerOption values (store.WithThreshold, store.WithBackoff).
-// Lookup misses (ErrStoreNotFound) are healthy outcomes and never trip
-// it. Trips and recoveries are visible in Metrics as store.degraded,
-// store.retry and store.unavailable.
-func NewStoreBreaker(inner Store, opts ...StoreBreakerOption) *StoreBreaker {
-	return store.NewBreaker(inner, opts...)
-}
-
-// ErrStoreUnavailable reports a store operation short-circuited by an
-// open circuit breaker: the backend is degraded and was not called.
-// Treat it as a miss. Test with errors.Is.
-var ErrStoreUnavailable = store.ErrUnavailable
-
-// ParseFaultSpec parses the textual fault-injection spec grammar shared
-// by the TASKPOINT_FAULTS environment variable and taskpointd's -faults
-// flag, e.g. "seed=7,store.err=0.2,store.latency=5ms,crash=server.outcome".
-func ParseFaultSpec(s string) (FaultSpec, error) { return fault.Parse(s) }
-
-// NewFaultInjector builds a deterministic injector for a spec. An inert
-// spec (all probabilities zero, no crash points) yields nil — the no-op
-// injector.
-func NewFaultInjector(spec FaultSpec) *FaultInjector { return fault.NewInjector(spec) }
-
-// WrapStoreFaults applies an injector's store faults (operation errors,
-// latency, partial reads) to a store; torn-write injection additionally
-// needs disk access and is only active when wrapping a *DiskStore via
-// fault.WrapDisk. A nil or store-quiet injector returns inner unchanged.
-func WrapStoreFaults(inner Store, inj *FaultInjector) Store { return fault.WrapStore(inner, inj) }
-
-// ErrInjectedFault marks every failure produced by a FaultInjector, so
-// tests and chaos harnesses can tell injected faults from real ones.
-// Test with errors.Is.
-var ErrInjectedFault = fault.ErrInjected
-
 // ContentAddress returns the content address of an experiment cell: the
 // SHA-256 (hex) of the canonical serialization of the request's
 // normalized form. Every accepted spelling of one cell yields the same
@@ -488,19 +421,6 @@ func OpenRecorder(path string) (*Recorder, error) { return obs.Open(path) }
 // NewRecorder wraps an arbitrary writer in a flight recorder (the caller
 // keeps ownership of the writer).
 func NewRecorder(w io.Writer) *Recorder { return obs.NewRecorder(w) }
-
-// NewSlowProfiler builds a profiler that captures a CPU profile
-// (slow-NNN-<cell>.pprof under dir) of any experiment cell running longer
-// than threshold. A nil *SlowProfiler is a valid no-op, so the return
-// value can be attached unconditionally. Close it to stop the watchdog
-// and finish any in-flight capture.
-func NewSlowProfiler(threshold time.Duration, dir string) *SlowProfiler {
-	return obs.NewSlowProfiler(threshold, dir)
-}
-
-// WithSlowProfiler makes the engine capture CPU profiles of slow cells.
-// A nil profiler (the default) costs nothing.
-func WithSlowProfiler(p *SlowProfiler) EngineOption { return engine.WithSlowProfiler(p) }
 
 // ReadSpans parses a flight-recorder JSONL trace into its span tree.
 // The reader sorts events into the recorder's deterministic order, repairs
