@@ -184,7 +184,8 @@ func main() {
 		fatal(runErr)
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "estfuzz: %d violations in %v\n", total, time.Since(wallStart).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "estfuzz: %d violations in %v (%d vacuous cells: run fully in detail, cannot violate)\n",
+			total, time.Since(wallStart).Round(time.Millisecond), obs.Default().Counter("fuzz.cells.vacuous").Value())
 	}
 	if *metricsOut != "" {
 		b, err := obs.Default().MarshalSnapshot()

@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"taskpoint/internal/trace"
@@ -70,13 +71,16 @@ type MemPort interface {
 // distances are capped at ROB-1 and the occupancy check reads exactly
 // ROB back), so the widened ring holds every value the model consults and
 // the timings are bit-identical to a ROB-sized ring.
+//
+// The rings hold the IEEE 754 bit patterns of the times, so the core
+// loop's tmax compares load them straight into integer registers.
 type Core struct {
 	cfg        Config
 	mem        MemPort
-	compRing   []float64 // completion times of recent instructions
-	commitRing []float64 // commit times of recent instructions
-	head       int64     // total instructions dispatched on this core
-	issueSlot  float64   // next available dispatch slot
+	compRing   []uint64 // completion times of recent instructions, as bits
+	commitRing []uint64 // commit times of recent instructions, as bits
+	head       int64    // total instructions dispatched on this core
+	issueSlot  float64  // next available dispatch slot
 	lastCommit float64
 	invIssue   float64
 	invCommit  float64
@@ -95,8 +99,8 @@ func New(cfg Config, mem MemPort) *Core {
 	return &Core{
 		cfg:        cfg,
 		mem:        mem,
-		compRing:   make([]float64, ring),
-		commitRing: make([]float64, ring),
+		compRing:   make([]uint64, ring),
+		commitRing: make([]uint64, ring),
 		invIssue:   1 / float64(cfg.IssueWidth),
 		invCommit:  1 / float64(cfg.CommitWidth),
 	}
@@ -335,8 +339,7 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 		depDist     = seg.DepDist
 		atomic      = seg.Atomic
 		chasePat    = seg.Pat == trace.PatChase
-		intLat      = c.cfg.IntLat
-		fpLat       = c.cfg.FPLat
+		alu         = [2]float64{c.cfg.IntLat, c.cfg.FPLat} // by b2i(is FP)
 		storeLat    = c.cfg.StoreLat
 	)
 	// Instructions inside the type's shared prefix read their draws from
@@ -376,22 +379,19 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 			d = rob - 1
 		}
 		if d <= head {
-			ready = comp[uint64(head-d)&cmask]
+			ready = math.Float64frombits(comp[uint64(head-d)&cmask])
 		}
 
 		// ROB occupancy: instruction head cannot dispatch before the
 		// instruction ROB slots older has committed. (The slot of
 		// instruction head-ROB still holds its commit time: the ring
 		// spans at least ROB instructions.)
-		robFree := cring[uint64(head-rob)&wmask]
+		robFree := math.Float64frombits(cring[uint64(head-rob)&wmask])
 
-		issue := issueSlot
-		if ready > issue {
-			issue = ready
-		}
-		if robFree > issue {
-			issue = robFree
-		}
+		// The selects on times are data dependent and would mispredict
+		// on the stream's random draws; tmax and the alu table keep them
+		// off the branch predictor.
+		issue := tmax(tmax(issueSlot, ready), robFree)
 
 		// Latency by instruction class.
 		var lat float64
@@ -405,27 +405,20 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 			} else {
 				if chasePat {
 					// Serialised loads: wait for the previous one.
-					if e.lastLoad > issue {
-						issue = e.lastLoad
-					}
+					issue = tmax(issue, e.lastLoad)
 				}
 				lat = memLat
 				e.lastLoad = issue + lat
 			}
-		} else if draw.sub < fpThresh {
-			lat = fpLat
 		} else {
-			lat = intLat
+			lat = alu[b2i(draw.sub < fpThresh)]
 		}
 
 		complete := issue + lat
-		commit := lastCommit + invCommit
-		if complete > commit {
-			commit = complete
-		}
+		commit := tmax(lastCommit+invCommit, complete)
 
-		comp[uint64(head)&cmask] = complete
-		cring[uint64(head)&wmask] = commit
+		comp[uint64(head)&cmask] = math.Float64bits(complete)
+		cring[uint64(head)&wmask] = math.Float64bits(commit)
 		lastCommit = commit
 		issueSlot = issue + invIssue
 		head++
@@ -434,6 +427,31 @@ func (c *Core) runSegment(e *Exec, seg *trace.Segment, n int64, deadline float64
 	c.issueSlot = issueSlot
 	c.lastCommit = lastCommit
 	return k
+}
+
+// tmax returns the later of two core-local times without a data-dependent
+// branch. Every time the core loop compares is a non-negative, non-NaN
+// double: times start at now >= 0 or at a zeroed ring, latencies are
+// positive (Config.Validate and the memory model's), and channel delays
+// clamp their backlog at >= 0. On such values the IEEE 754 bit patterns,
+// read as uint64, order exactly as the values do, so one integer compare
+// selects the maximum and compiles to CMP and CMOV. (The builtin max
+// agrees on these values, but its ±0 and NaN fix-ups sit on the loop's
+// serial issue→commit chain.)
+func tmax(a, b float64) float64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if y > x {
+		x = y
+	}
+	return math.Float64frombits(x)
+}
+
+// b2i converts a comparison result to an index; it compiles to SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // address generates the next memory address of the segment's pattern.

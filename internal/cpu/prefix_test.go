@@ -57,7 +57,7 @@ func runTrace(inst *trace.Instance, q quanta, live bool) []uint64 {
 		}
 	}
 	for i := range c.compRing {
-		out = append(out, math.Float64bits(c.compRing[i]), math.Float64bits(c.commitRing[i]))
+		out = append(out, c.compRing[i], c.commitRing[i])
 	}
 	return append(out, uint64(c.head), math.Float64bits(c.issueSlot), math.Float64bits(c.lastCommit), m.h)
 }

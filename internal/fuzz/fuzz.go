@@ -37,11 +37,15 @@ import (
 	"taskpoint/internal/strata"
 )
 
-// Fuzzer metrics in the default registry: round throughput and violation
-// volume by class (the per-class counters are created on first hit).
+// Fuzzer metrics in the default registry: round throughput, violation
+// volume by class (the per-class counters are created on first hit), and
+// the vacuous cells: those whose sampled run simulated every instruction
+// in detail, so it reproduces its reference and can never violate a
+// ceiling.
 var (
 	metricRounds   = obs.Default().Counter("fuzz.rounds")
 	metricFindings = obs.Default().Counter("fuzz.findings")
+	metricVacuous  = obs.Default().Counter("fuzz.cells.vacuous")
 )
 
 // Config parameterises a fuzz campaign. Zero values select the defaults
@@ -363,6 +367,9 @@ func (d *Driver) Round(ctx context.Context, i int) ([]Finding, error) {
 		policy := d.cfg.Policies[len(cells)]
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: round %d %s: %w", i, policy, err)
+		}
+		if rep.DetailFraction == 1 {
+			metricVacuous.Inc()
 		}
 		cells = append(cells, d.finding(rep, spec, policy, seed, i))
 	}

@@ -328,7 +328,7 @@ func (s *System) l2For(core int) *Cache {
 }
 
 // bankDelay models aggregate port contention of the shared cache levels.
-func (s *System) bankDelay(line uint64, now float64) float64 {
+func (s *System) bankDelay(now float64) float64 {
 	delay := s.banks.request(now)
 	s.stats.QueueCycles += delay
 	return delay
@@ -383,7 +383,7 @@ func (s *System) Access(core int, addr uint64, write, atomic bool, now float64) 
 
 	l2 := s.l2For(core)
 	if s.cfg.L2Shared {
-		lat += s.bankDelay(line, now+lat)
+		lat += s.bankDelay(now + lat)
 	}
 	if l2.Lookup(line, effWrite && s.cfg.L2Shared) {
 		s.stats.L2Hits++
@@ -397,7 +397,7 @@ func (s *System) Access(core int, addr uint64, write, atomic bool, now float64) 
 	lat += s.cfg.L2.Lat
 
 	if s.l3 != nil {
-		lat += s.bankDelay(line, now+lat)
+		lat += s.bankDelay(now + lat)
 		if s.l3.Lookup(line, false) {
 			s.stats.L3Hits++
 			lat += s.cfg.L3.Lat

@@ -88,7 +88,7 @@ func (r *Result) TotalTaskCycles() float64 {
 }
 
 // IPCOfType returns the measured IPC values of all detailed instances of
-// type t, in completion order of recording.
+// type t, in instance-ID order.
 func (r *Result) IPCOfType(t trace.TypeID) []float64 {
 	var out []float64
 	for i := range r.PerInstance {
