@@ -9,15 +9,16 @@
 package taskpoint_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"taskpoint/internal/bench"
 	"taskpoint/internal/core"
-	"taskpoint/internal/results"
+	"taskpoint/internal/engine"
 	"taskpoint/internal/sched"
 	"taskpoint/internal/sim"
 	"taskpoint/internal/stats"
-	"taskpoint/internal/strata"
 )
 
 // mustSpec resolves a Table I benchmark or fails the benchmark.
@@ -30,29 +31,38 @@ func mustSpec(b *testing.B, name string) *bench.Spec {
 	return spec
 }
 
+// ablationEngine runs the ablation cells over the shared benchBaselines
+// cache, so every ablation reuses the figures' detailed references.
+var ablationEngine = engine.New(engine.WithWorkers(2), engine.WithBaselineCache(benchBaselines))
+
+// ablationRun runs one high-performance 8-thread cell of a benchmark at
+// benchScale and seed 42.
+func ablationRun(b *testing.B, name string, params core.Params, policy string) engine.Report {
+	b.Helper()
+	rep, err := ablationEngine.Run(context.Background(), engine.Request{
+		Workload: name, Arch: "hp", Threads: 8, Scale: benchScale, Seed: 42,
+		Policy: policy, Params: params,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // BenchmarkAblationSizeClassing compares plain per-type sampling against
 // the size-class extension on dedup and freqmine — the two benchmarks the
 // paper names as victims of input-dependent instance sizes.
 func BenchmarkAblationSizeClassing(b *testing.B) {
 	b.ReportAllocs()
-	r := benchRunner()
 	names := []string{"dedup", "freqmine", "sparse-matrix-vector-multiplication"}
 	var plain, classed []float64
 	for i := 0; i < b.N; i++ {
 		plain, classed = nil, nil
 		for _, name := range names {
 			p := core.DefaultParams()
-			row, err := r.Sampled(name, results.HighPerf, 8, p, core.Lazy{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			plain = append(plain, row.ErrPct)
+			plain = append(plain, ablationRun(b, name, p, "lazy").ErrPct)
 			p.SizeClasses = true
-			row, err = r.Sampled(name, results.HighPerf, 8, p, core.Lazy{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			classed = append(classed, row.ErrPct)
+			classed = append(classed, ablationRun(b, name, p, "lazy").ErrPct)
 		}
 	}
 	b.ReportMetric(stats.Mean(plain), "err_pct_plain")
@@ -66,7 +76,6 @@ func BenchmarkAblationSizeClassing(b *testing.B) {
 // width of the stratified confidence interval.
 func BenchmarkAblationStratified(b *testing.B) {
 	b.ReportAllocs()
-	r := benchRunner()
 	names := []string{"dedup", "freqmine", "sparse-matrix-vector-multiplication"}
 	var plain, strat, ciw []float64
 	for i := 0; i < b.N; i++ {
@@ -74,18 +83,12 @@ func BenchmarkAblationStratified(b *testing.B) {
 		for _, name := range names {
 			p := core.DefaultParams()
 			p.SizeClasses = true
-			row, err := r.Sampled(name, results.HighPerf, 8, p, core.Lazy{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			plain = append(plain, row.ErrPct)
-			pol := strata.MustNew(strata.DefaultConfig(row.Sampler.DetailedStarted))
-			srow, err := r.Sampled(name, results.HighPerf, 8, core.DefaultParams(), pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			strat = append(strat, srow.ErrPct)
-			ciw = append(ciw, srow.Confidence.RelWidth())
+			rep := ablationRun(b, name, p, "lazy")
+			plain = append(plain, rep.ErrPct)
+			budget := fmt.Sprintf("stratified(%d)", rep.Sampler.DetailedStarted)
+			srep := ablationRun(b, name, core.DefaultParams(), budget)
+			strat = append(strat, srep.ErrPct)
+			ciw = append(ciw, srep.Confidence.RelWidth())
 		}
 	}
 	b.ReportMetric(stats.Mean(plain), "err_pct_sizeclass")
@@ -129,7 +132,6 @@ func BenchmarkAblationSchedulerPolicy(b *testing.B) {
 // transient; patience 2 absorbs them.
 func BenchmarkAblationPatience(b *testing.B) {
 	b.ReportAllocs()
-	r1 := benchRunner()
 	var resamples [2]float64
 	var errs [2]float64
 	for i := 0; i < b.N; i++ {
@@ -138,12 +140,9 @@ func BenchmarkAblationPatience(b *testing.B) {
 			p.ConcurrencyPatience = patience
 			var errSum, resSum float64
 			for _, name := range []string{"kmeans", "reduction"} {
-				row, err := r1.Sampled(name, results.HighPerf, 8, p, core.Lazy{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				errSum += row.ErrPct
-				resSum += float64(row.Sampler.Resamples)
+				rep := ablationRun(b, name, p, "lazy")
+				errSum += rep.ErrPct
+				resSum += float64(rep.Sampler.Resamples)
 			}
 			errs[pi] = errSum / 2
 			resamples[pi] = resSum / 2

@@ -9,11 +9,10 @@ package taskpoint_test
 import (
 	"testing"
 
-	"taskpoint/internal/bench"
-	"taskpoint/internal/core"
 	"taskpoint/internal/engine"
 	"taskpoint/internal/results"
 	"taskpoint/internal/stats"
+	"taskpoint/internal/sweep"
 )
 
 // benchScale keeps every artefact benchmark tractable: instance counts are
@@ -31,11 +30,11 @@ func benchRunner() *results.Runner {
 	return results.NewCachedRunner(benchScale, 42, 2, benchBaselines)
 }
 
-// figureMetrics folds rows into the two headline metrics.
-func figureMetrics(b *testing.B, rows []results.SampledRow) {
+// figureMetrics folds a figure's records into the two headline metrics.
+func figureMetrics(b *testing.B, recs []sweep.Record) {
 	b.Helper()
 	var errs, speedups []float64
-	for _, r := range rows {
+	for _, r := range recs {
 		errs = append(errs, r.ErrPct)
 		speedups = append(speedups, r.SpeedupWall)
 	}
@@ -157,10 +156,10 @@ func BenchmarkFig6cPeriodSweep(b *testing.B) {
 func BenchmarkFig7PeriodicHighPerf(b *testing.B) {
 	b.ReportAllocs()
 	r := benchRunner()
-	var rows []results.SampledRow
+	var rows []sweep.Record
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = r.Figure(results.HighPerf, []int{8}, core.DefaultParams(), core.Periodic{P: 250}, nil)
+		rows, err = r.Figure(results.HighPerf, []int{8}, "periodic(250)", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,10 +172,10 @@ func BenchmarkFig7PeriodicHighPerf(b *testing.B) {
 func BenchmarkFig8PeriodicLowPower(b *testing.B) {
 	b.ReportAllocs()
 	r := benchRunner()
-	var rows []results.SampledRow
+	var rows []sweep.Record
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = r.Figure(results.LowPower, []int{4}, core.DefaultParams(), core.Periodic{P: 250}, nil)
+		rows, err = r.Figure(results.LowPower, []int{4}, "periodic(250)", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,10 +188,10 @@ func BenchmarkFig8PeriodicLowPower(b *testing.B) {
 func BenchmarkFig9LazyHighPerf(b *testing.B) {
 	b.ReportAllocs()
 	r := benchRunner()
-	var rows []results.SampledRow
+	var rows []sweep.Record
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = r.Figure(results.HighPerf, []int{8}, core.DefaultParams(), core.Lazy{}, nil)
+		rows, err = r.Figure(results.HighPerf, []int{8}, "lazy", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,10 +204,10 @@ func BenchmarkFig9LazyHighPerf(b *testing.B) {
 func BenchmarkFig10LazyLowPower(b *testing.B) {
 	b.ReportAllocs()
 	r := benchRunner()
-	var rows []results.SampledRow
+	var rows []sweep.Record
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = r.Figure(results.LowPower, []int{4}, core.DefaultParams(), core.Lazy{}, nil)
+		rows, err = r.Figure(results.LowPower, []int{4}, "lazy", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,12 +219,6 @@ func BenchmarkFig10LazyLowPower(b *testing.B) {
 // speed (instructions per second) — the denominator of every speedup.
 func BenchmarkDetailedSimThroughput(b *testing.B) {
 	b.ReportAllocs()
-	spec, err := bench.ByName("2d-convolution")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := spec.MustBuild(benchScale, 42)
-	b.ResetTimer()
 	var instr int64
 	for i := 0; i < b.N; i++ {
 		r := results.NewRunner(benchScale, uint64(i)+1, 1)
@@ -235,6 +228,5 @@ func BenchmarkDetailedSimThroughput(b *testing.B) {
 		}
 		instr = res.TotalInstructions
 	}
-	_ = prog
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()*float64(b.N), "instr/s")
 }

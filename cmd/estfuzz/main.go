@@ -183,10 +183,8 @@ func main() {
 	default:
 		fatal(runErr)
 	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "estfuzz: %d violations in %v (%d vacuous cells: run fully in detail, cannot violate)\n",
-			total, time.Since(wallStart).Round(time.Millisecond), obs.Default().Counter("fuzz.cells.vacuous").Value())
-	}
+	fmt.Fprintf(os.Stderr, "estfuzz: %d violations in %v (%d vacuous cells: run fully in detail, cannot violate)\n",
+		total, time.Since(wallStart).Round(time.Millisecond), obs.Default().Counter("fuzz.cells.vacuous").Value())
 	if *metricsOut != "" {
 		b, err := obs.Default().MarshalSnapshot()
 		if err != nil {

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"taskpoint"
-	"taskpoint/internal/core"
 	"taskpoint/internal/results"
+	"taskpoint/internal/sweep"
 )
 
 func main() {
@@ -50,7 +50,6 @@ func main() {
 		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
-	params := core.DefaultParams()
 
 	var report strings.Builder
 	fmt.Fprintf(&report, "# TaskPoint experiments (scale %.3g, seed %d)\n\nGenerated %s.\n\n",
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	var fig1Rows, fig5Rows []results.VariationRow
-	var fig9Rows []results.SampledRow
+	var fig9Rows []sweep.Record
 
 	section("fig5", func() (string, error) {
 		rows, err := runner.Variation(results.HighPerf, 8)
@@ -123,21 +122,21 @@ func main() {
 		return results.RenderSweep("Figure 6c — sampling period P (W=2, H=4)", "P", pts), nil
 	})
 	section("fig7", func() (string, error) {
-		rows, err := runner.Figure(results.HighPerf, hpThreads, params, core.Periodic{P: 250}, nil)
+		rows, err := runner.Figure(results.HighPerf, hpThreads, "periodic(250)", nil)
 		if err != nil {
 			return "", err
 		}
 		return results.RenderSampled("Figure 7 — periodic sampling (P=250), high-performance", rows), nil
 	})
 	section("fig8", func() (string, error) {
-		rows, err := runner.Figure(results.LowPower, lpThreads, params, core.Periodic{P: 250}, nil)
+		rows, err := runner.Figure(results.LowPower, lpThreads, "periodic(250)", nil)
 		if err != nil {
 			return "", err
 		}
 		return results.RenderSampled("Figure 8 — periodic sampling (P=250), low-power", rows), nil
 	})
 	section("fig9", func() (string, error) {
-		rows, err := runner.Figure(results.HighPerf, hpThreads, params, core.Lazy{}, nil)
+		rows, err := runner.Figure(results.HighPerf, hpThreads, "lazy", nil)
 		if err != nil {
 			return "", err
 		}
@@ -145,7 +144,7 @@ func main() {
 		return results.RenderSampled("Figure 9 — lazy sampling, high-performance", rows), nil
 	})
 	section("fig10", func() (string, error) {
-		rows, err := runner.Figure(results.LowPower, lpThreads, params, core.Lazy{}, nil)
+		rows, err := runner.Figure(results.LowPower, lpThreads, "lazy", nil)
 		if err != nil {
 			return "", err
 		}
@@ -162,7 +161,7 @@ func main() {
 		rows := fig9Rows
 		if rows == nil {
 			var err error
-			rows, err = runner.Figure(results.HighPerf, hpThreads, params, core.Lazy{}, nil)
+			rows, err = runner.Figure(results.HighPerf, hpThreads, "lazy", nil)
 			if err != nil {
 				return "", err
 			}

@@ -70,29 +70,27 @@ func ExampleSimulateSampled() {
 	// fast-forwarded the rest: true
 }
 
-// Run two-phase stratified sampling with a detailed budget and read the
-// confidence interval of the cycle estimate. The detailed reference's
-// true total task cycles falls inside the reported 95% interval.
-func ExampleSimulateStratified() {
-	prog := taskpoint.Benchmark("dedup", 1.0/32, 42)
-	cfg := taskpoint.HighPerf(8)
-
-	detailed, err := taskpoint.SimulateDetailed(cfg, prog)
+// Run two-phase stratified sampling with a detailed budget through the
+// engine and read the confidence interval of the cycle estimate. The
+// detailed reference's true total task cycles falls inside the reported
+// 95% interval.
+func ExampleEngine_Run() {
+	eng := taskpoint.NewEngine()
+	rep, err := eng.Run(context.Background(), taskpoint.Request{
+		Workload: "dedup", Arch: "hp", Threads: 8, Scale: 1.0 / 32, Seed: 42,
+		Policy: "stratified(150)",
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	_, stats, conf, err := taskpoint.SimulateStratified(cfg, prog, taskpoint.DefaultParams(), 150)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	conf := rep.Confidence
 
 	fmt.Println("strata observed:", conf.Strata > 1)
-	fmt.Println("every instance accounted:", conf.Population == prog.NumTasks())
-	fmt.Println("directed samples taken:", stats.DirectedStarted > 0)
+	fmt.Println("every instance accounted:", conf.Population == rep.Program.NumTasks())
+	fmt.Println("directed samples taken:", rep.Sampler.DirectedStarted > 0)
 	fmt.Println("interval is meaningful:", conf.RelWidth() > 0 && conf.RelWidth() < 0.5)
-	fmt.Println("true total inside 95% CI:", conf.Covers(detailed.TotalTaskCycles()))
+	fmt.Println("true total inside 95% CI:", conf.Covers(rep.DetailedTaskCycles))
 	// Output:
 	// strata observed: true
 	// every instance accounted: true

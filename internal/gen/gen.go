@@ -16,7 +16,7 @@
 // A scenario is named by a spec string in the strict
 // "gen:family(knob=value,...)" grammar (see Parse); the package registers
 // a bench.Resolver for the "gen" scheme, so scenario names work anywhere a
-// Table I benchmark name does: bench.ByName, results.Runner, sweep
+// Table I benchmark name does: bench.ByName, engine requests, sweep
 // campaigns, cmd/tracegen.
 package gen
 

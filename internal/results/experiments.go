@@ -7,6 +7,7 @@ import (
 
 	"taskpoint/internal/bench"
 	"taskpoint/internal/core"
+	"taskpoint/internal/engine"
 	"taskpoint/internal/stats"
 	"taskpoint/internal/trace"
 )
@@ -109,22 +110,30 @@ type SweepPoint struct {
 }
 
 // sweep evaluates the sensitivity benchmarks over the given thread counts
-// for every parameter configuration produced by mkParams.
-func (r *Runner) sweep(values []int, threads []int, mkParams func(v int) (core.Params, core.Policy)) ([]SweepPoint, error) {
+// for every (parameters, policy name) configuration produced by mkParams.
+// The requests carry their full core.Params: Figure 6a's W=0 is a real
+// warm-up size here, not a sweep.Spec's "default" marker.
+func (r *Runner) sweep(values []int, threads []int, mkParams func(v int) (core.Params, string)) ([]SweepPoint, error) {
 	names := bench.SensitivityNames()
 	points := make([]SweepPoint, len(values))
 	for vi, v := range values {
 		params, policy := mkParams(v)
-		var errsAll, speedups []float64
+		var reqs []engine.Request
 		for _, tc := range threads {
-			rows, err := r.Figure(HighPerf, []int{tc}, params, policy, names)
+			for _, bn := range names {
+				req := r.request(bn, HighPerf, tc)
+				req.Params = params
+				req.Policy = policy
+				reqs = append(reqs, req)
+			}
+		}
+		var errsAll, speedups []float64
+		for rep, err := range r.eng.RunAll(r.context(), reqs) {
 			if err != nil {
 				return nil, err
 			}
-			for _, row := range rows {
-				errsAll = append(errsAll, row.ErrPct)
-				speedups = append(speedups, row.SpeedupWall)
-			}
+			errsAll = append(errsAll, rep.ErrPct)
+			speedups = append(speedups, rep.SpeedupWall)
 		}
 		points[vi] = SweepPoint{
 			Value:      v,
@@ -139,33 +148,33 @@ func (r *Runner) sweep(values []int, threads []int, mkParams func(v int) (core.P
 // with H=10 and P=infinity, averaged over 32- and 64-thread simulations of
 // the sensitivity benchmarks.
 func (r *Runner) SweepW(ws []int, threads []int) ([]SweepPoint, error) {
-	return r.sweep(ws, threads, func(w int) (core.Params, core.Policy) {
+	return r.sweep(ws, threads, func(w int) (core.Params, string) {
 		p := core.DefaultParams()
 		p.W = w
 		p.H = 10
-		return p, core.Lazy{}
+		return p, "lazy"
 	})
 }
 
 // SweepH reproduces Figure 6b: error and speedup for history sizes H, with
 // W=2 and P=infinity.
 func (r *Runner) SweepH(hs []int, threads []int) ([]SweepPoint, error) {
-	return r.sweep(hs, threads, func(h int) (core.Params, core.Policy) {
+	return r.sweep(hs, threads, func(h int) (core.Params, string) {
 		p := core.DefaultParams()
 		p.W = 2
 		p.H = h
-		return p, core.Lazy{}
+		return p, "lazy"
 	})
 }
 
 // SweepP reproduces Figure 6c: error and speedup for sampling periods P,
 // with W=2 and H=4.
 func (r *Runner) SweepP(ps []int, threads []int) ([]SweepPoint, error) {
-	return r.sweep(ps, threads, func(p int) (core.Params, core.Policy) {
+	return r.sweep(ps, threads, func(p int) (core.Params, string) {
 		par := core.DefaultParams()
 		par.W = 2
 		par.H = 4
-		return par, core.Periodic{P: p}
+		return par, fmt.Sprintf("periodic(%d)", p)
 	})
 }
 

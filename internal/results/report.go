@@ -2,8 +2,9 @@ package results
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"taskpoint/internal/sweep"
 )
 
 // Markdown renderers for the experiment outputs. They print the same rows
@@ -32,21 +33,14 @@ func RenderVariation(title string, rows []VariationRow) string {
 
 // RenderSampled renders a Figure 7-10-style table: per-benchmark error and
 // speedup columns per thread count, plus the per-thread-count averages.
-func RenderSampled(title string, rows []SampledRow) string {
-	threadSet := map[int]bool{}
-	for _, r := range rows {
-		threadSet[r.Threads] = true
-	}
-	var threads []int
-	for t := range threadSet {
-		threads = append(threads, t)
-	}
-	sort.Ints(threads)
-
+// A figure has one architecture and one policy, so sweep.Summarize's
+// groups are exactly its thread columns, in ascending thread order.
+func RenderSampled(title string, recs []sweep.Record) string {
+	sums := sweep.Summarize(recs)
 	type cell struct{ err, speed float64 }
 	byBench := map[string]map[int]cell{}
 	var benchOrder []string
-	for _, r := range rows {
+	for _, r := range recs {
 		if _, ok := byBench[r.Bench]; !ok {
 			byBench[r.Bench] = map[int]cell{}
 			benchOrder = append(benchOrder, r.Bench)
@@ -57,25 +51,25 @@ func RenderSampled(title string, rows []SampledRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s\n\n", title)
 	b.WriteString("| Benchmark |")
-	for _, t := range threads {
-		fmt.Fprintf(&b, " err%%@%dT | spd@%dT |", t, t)
+	for _, s := range sums {
+		fmt.Fprintf(&b, " err%%@%dT | spd@%dT |", s.Threads, s.Threads)
 	}
 	b.WriteString("\n|---|")
-	for range threads {
+	for range sums {
 		b.WriteString("---:|---:|")
 	}
 	b.WriteString("\n")
 	for _, bn := range benchOrder {
 		fmt.Fprintf(&b, "| %s |", bn)
-		for _, t := range threads {
-			c := byBench[bn][t]
+		for _, s := range sums {
+			c := byBench[bn][s.Threads]
 			fmt.Fprintf(&b, " %.1f | %.1f |", c.err, c.speed)
 		}
 		b.WriteString("\n")
 	}
 	b.WriteString("| **average** |")
-	for _, avg := range AverageByThreads(rows) {
-		fmt.Fprintf(&b, " %.1f | %.1f |", avg.MeanErrPct, avg.MeanSpeedupW)
+	for _, s := range sums {
+		fmt.Fprintf(&b, " %.1f | %.1f |", s.MeanErrPct, s.MeanSpeedupWall)
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -108,15 +102,14 @@ func RenderTable1(rows []Table1Row, scale float64) string {
 
 // RenderSummary renders the headline comparison against the paper's
 // abstract: 64-thread lazy sampling speedup and error.
-func RenderSummary(lazy64 []SampledRow) string {
-	avg := AverageByThreads(lazy64)
+func RenderSummary(lazy64 []sweep.Record) string {
 	var b strings.Builder
 	b.WriteString("### Headline (lazy sampling, high-performance architecture)\n\n")
 	b.WriteString("| Threads | avg err [%] | max err [%] | avg wall speedup | geo detail speedup |\n")
 	b.WriteString("|---:|---:|---:|---:|---:|\n")
-	for _, a := range avg {
+	for _, s := range sweep.Summarize(lazy64) {
 		fmt.Fprintf(&b, "| %d | %.1f | %.1f | %.1f | %.1f |\n",
-			a.Threads, a.MeanErrPct, a.MaxErrPct, a.MeanSpeedupW, a.GeoSpeedupDet)
+			s.Threads, s.MeanErrPct, s.MaxErrPct, s.MeanSpeedupWall, s.GeoSpeedupDetail)
 	}
 	b.WriteString("\nPaper (64 threads): avg error 1.8%, max error 15.0%, speedup 19.1x.\n")
 	return b.String()

@@ -1,10 +1,13 @@
 package results
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
-	"taskpoint/internal/core"
+	"taskpoint/internal/sweep"
 )
 
 // Tests run at a tiny scale (instance floor of 64) so the full grid stays
@@ -52,63 +55,90 @@ func TestDetailedCaching(t *testing.T) {
 	}
 }
 
-func TestSampledRowConsistency(t *testing.T) {
-	r := NewRunner(testScale, 1, 2)
-	row, err := r.Sampled("blackscholes", HighPerf, 4, core.DefaultParams(), core.Lazy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Bench != "blackscholes" || row.Threads != 4 || row.Arch != HighPerf {
-		t.Errorf("row identity wrong: %+v", row)
-	}
-	if row.ErrPct < 0 {
-		t.Errorf("negative error %v", row.ErrPct)
-	}
-	if row.DetailFraction <= 0 || row.DetailFraction > 1 {
-		t.Errorf("detail fraction %v out of (0,1]", row.DetailFraction)
-	}
-	if row.SpeedupDetail < 1 {
-		t.Errorf("detail speedup %v < 1", row.SpeedupDetail)
-	}
-	if row.SampledCycles <= 0 || row.DetailedCycles <= 0 {
-		t.Error("cycles not recorded")
-	}
-}
-
 func TestFigureGridAndAverages(t *testing.T) {
 	r := NewRunner(testScale, 1, 2)
-	rows, err := r.Figure(HighPerf, []int{2, 4}, core.DefaultParams(), core.Lazy{},
-		[]string{"swaptions", "histogram"})
+	recs, err := r.Figure(HighPerf, []int{2, 4}, "lazy", []string{"swaptions", "histogram"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("grid has %d rows, want 4", len(rows))
+	if len(recs) != 4 {
+		t.Fatalf("grid has %d records, want 4", len(recs))
 	}
-	avgs := AverageByThreads(rows)
-	if len(avgs) != 2 {
-		t.Fatalf("averages for %d thread counts, want 2", len(avgs))
+	sums := sweep.Summarize(recs)
+	if len(sums) != 2 {
+		t.Fatalf("summaries for %d thread counts, want 2", len(sums))
 	}
-	for _, a := range avgs {
-		if a.MaxErrPct < a.MeanErrPct {
-			t.Errorf("max error %v below mean %v", a.MaxErrPct, a.MeanErrPct)
+	for _, s := range sums {
+		if s.MaxErrPct < s.MeanErrPct {
+			t.Errorf("max error %v below mean %v", s.MaxErrPct, s.MeanErrPct)
 		}
 	}
 }
 
-// TestAveragesFollowThreadColumns: rows given at 64 and then 8 threads
-// average in ascending thread order, so RenderSampled's average row sits
+// TestFigureMatchesSweep: a figure's grid is a sweep. Runner.Figure over
+// the runner's shared engine must yield the records a fresh sweep engine
+// computes for the same spec, byte for byte once the host wall-clock
+// fields are removed.
+func TestFigureMatchesSweep(t *testing.T) {
+	threads := []int{2, 4}
+	names := []string{"swaptions", "histogram"}
+	r := NewRunner(testScale, 1, 2)
+	got, err := r.Figure(HighPerf, threads, "periodic(250)", names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{
+		Scale:      testScale,
+		Benchmarks: names,
+		Archs:      []string{string(HighPerf)},
+		Threads:    threads,
+		Policies:   []string{"periodic(250)"},
+		Seeds:      []uint64{1},
+	}
+	eng, err := sweep.New(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.RunContext(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("figure has %d records, sweep %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := deterministicJSON(t, got[i]), deterministicJSON(t, want[i])
+		if !bytes.Equal(g, w) {
+			t.Errorf("record %d differs:\nfigure %s\nsweep  %s", i, g, w)
+		}
+	}
+}
+
+// deterministicJSON encodes a record without its host wall-clock fields
+// (sampled_wall_ms, detailed_wall_ms and speedup_wall).
+func deterministicJSON(t *testing.T, rec sweep.Record) []byte {
+	t.Helper()
+	rec.SampledWallMS, rec.DetailedWallMS, rec.SpeedupWall = 0, 0, 0
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAveragesFollowThreadColumns: records given at 64 and then 8 threads
+// summarise in ascending thread order, so RenderSampled's average row sits
 // under the columns of its own thread count.
 func TestAveragesFollowThreadColumns(t *testing.T) {
-	rows := []SampledRow{
+	recs := []sweep.Record{
 		{Bench: "a", Threads: 64, ErrPct: 10, SpeedupWall: 20},
 		{Bench: "a", Threads: 8, ErrPct: 1, SpeedupWall: 2},
 	}
-	avgs := AverageByThreads(rows)
-	if len(avgs) != 2 || avgs[0].Threads != 8 || avgs[1].Threads != 64 {
-		t.Fatalf("averages by threads %+v, want 8 then 64", avgs)
+	sums := sweep.Summarize(recs)
+	if len(sums) != 2 || sums[0].Threads != 8 || sums[1].Threads != 64 {
+		t.Fatalf("summaries by threads %+v, want 8 then 64", sums)
 	}
-	out := RenderSampled("t", rows)
+	out := RenderSampled("t", recs)
 	for _, want := range []string{
 		"| Benchmark | err%@8T | spd@8T | err%@64T | spd@64T |",
 		"| a | 1.0 | 2.0 | 10.0 | 20.0 |",
@@ -117,41 +147,6 @@ func TestAveragesFollowThreadColumns(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-// impostorLazy spells its name like the parseable lazy policy but
-// behaves differently: it resamples on every fast-retired instance.
-type impostorLazy struct{}
-
-func (impostorLazy) Name() string                    { return "lazy" }
-func (impostorLazy) ShouldResample(_, fast int) bool { return fast >= 1 }
-
-// TestFigurePreservesNonRoundTrippablePolicies: a policy whose textual
-// name does not reconstruct it (here: a custom type colliding with the
-// "lazy" spelling) must run as the caller's value, not be silently
-// replaced by the default build of its name.
-func TestFigurePreservesNonRoundTrippablePolicies(t *testing.T) {
-	r := NewRunner(testScale, 1, 2)
-	rows, err := r.Figure(HighPerf, []int{2}, core.DefaultParams(), impostorLazy{}, []string{"blackscholes"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	// The impostor resamples aggressively; the real lazy policy never
-	// does. If Figure had substituted ParsePolicy("lazy")'s build, the
-	// periodic-resample count would be zero.
-	if rows[0].Sampler.ResamplesPeriodic == 0 {
-		t.Error("custom policy was replaced by the default build of its name")
-	}
-	lazyRows, err := r.Figure(HighPerf, []int{2}, core.DefaultParams(), core.Lazy{}, []string{"blackscholes"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazyRows[0].Sampler.ResamplesPeriodic != 0 {
-		t.Error("real lazy policy reported periodic resamples")
 	}
 }
 
@@ -224,7 +219,7 @@ func TestRenderers(t *testing.T) {
 	if s := RenderVariation("Fig X", vr); !strings.Contains(s, "cholesky") || !strings.Contains(s, "Fig X") {
 		t.Error("variation render missing content")
 	}
-	sr := []SampledRow{{Bench: "dedup", Threads: 8, ErrPct: 3.25, SpeedupWall: 12}}
+	sr := []sweep.Record{{Bench: "dedup", Threads: 8, ErrPct: 3.25, SpeedupWall: 12}}
 	out := RenderSampled("Fig Y", sr)
 	if !strings.Contains(out, "dedup") || !strings.Contains(out, "3.2") || !strings.Contains(out, "average") {
 		t.Errorf("sampled render missing content:\n%s", out)

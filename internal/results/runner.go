@@ -5,26 +5,21 @@
 // and the Table I inventory, and renders them as the rows/series the paper
 // reports.
 //
-// Since the unified experiment engine (internal/engine) was introduced,
-// Runner is a thin adapter over it: worker pooling, baseline caching and
-// cell identity live in the engine; this package keeps the paper-shaped
-// row types and rendering.
+// Runner is a thin adapter over the unified experiment engine
+// (internal/engine): worker pooling, baseline caching and cell identity
+// live in the engine. A figure's cells are a sweep (internal/sweep): their
+// records are sweep.Record and their averages sweep.Summarize, so this
+// package keeps only the paper-shaped experiments and their rendering.
 package results
 
 import (
 	"context"
-	"maps"
-	"reflect"
-	"slices"
-	"time"
 
 	"taskpoint/internal/arch"
 	"taskpoint/internal/bench"
-	"taskpoint/internal/core"
 	"taskpoint/internal/engine"
 	"taskpoint/internal/sim"
-	"taskpoint/internal/stats"
-	"taskpoint/internal/strata"
+	"taskpoint/internal/sweep"
 	"taskpoint/internal/trace"
 )
 
@@ -123,168 +118,38 @@ func (r *Runner) Detailed(benchName string, a Arch, threads int) (*sim.Result, e
 	return r.eng.Baseline(r.context(), r.request(benchName, a, threads))
 }
 
-// SampledRow is one bar of Figures 7-10: one benchmark at one thread count
-// under one sampling configuration.
-type SampledRow struct {
-	Bench   string
-	Arch    Arch
-	Threads int
-	// ErrPct is the absolute execution-time error against the detailed
-	// reference, in percent.
-	ErrPct float64
-	// SpeedupWall is detailed wall time / sampled wall time — the
-	// paper's speedup metric.
-	SpeedupWall float64
-	// SpeedupDetail is total instructions / instructions simulated in
-	// detail — a machine-independent speedup proxy.
-	SpeedupDetail float64
-	// DetailFraction is the fraction of instructions simulated in
-	// detail during the sampled run.
-	DetailFraction float64
-	// Sampler reports the sampler's internal statistics.
-	Sampler core.Stats
-	// Cycles are the simulated execution times.
-	SampledCycles, DetailedCycles float64
-	// DetailedTaskCycles is the detailed reference's total task
-	// execution time (Σ per-instance durations) — the quantity the
-	// stratified Confidence estimates.
-	DetailedTaskCycles float64
-	// Confidence is the stratified cycle estimate with its confidence
-	// interval; nil unless the run's policy was strata.Stratified.
-	Confidence *strata.Confidence
-	// Wall times of both runs.
-	SampledWall, DetailedWall time.Duration
-}
-
-// RowOf folds an engine report into the figure-row shape of this package.
-func RowOf(rep engine.Report) SampledRow {
-	return SampledRow{
-		Bench:              rep.Request.Workload,
-		Arch:               Arch(rep.Request.Arch),
-		Threads:            rep.Request.Threads,
-		ErrPct:             rep.ErrPct,
-		SpeedupWall:        rep.SpeedupWall,
-		SpeedupDetail:      rep.SpeedupDetail,
-		DetailFraction:     rep.DetailFraction,
-		Sampler:            rep.Sampler,
-		SampledCycles:      rep.Sampled.Cycles,
-		DetailedCycles:     rep.Detailed.Cycles,
-		DetailedTaskCycles: rep.DetailedTaskCycles,
-		Confidence:         rep.Confidence,
-		SampledWall:        rep.SampledWall,
-		DetailedWall:       rep.DetailedWall,
-	}
-}
-
-// Sampled runs one sampled simulation and compares it against the cached
-// detailed reference. A confidence-reporting policy (strata.Stratified)
-// is prescanned over the program (exact stratum populations) and implies
-// size-class histories; its confidence interval lands in the row.
-func (r *Runner) Sampled(benchName string, a Arch, threads int, params core.Params, policy core.Policy) (SampledRow, error) {
-	req := r.request(benchName, a, threads)
-	req.Params = params
-	req.PolicyValue = policy
-	rep, err := r.eng.Run(r.context(), req)
-	if err != nil {
-		return SampledRow{}, err
-	}
-	return RowOf(rep), nil
-}
-
 // Figure runs the full grid of one of Figures 7-10: every benchmark at
-// every thread count under the given sampling parameters and policy.
-// Rows are ordered benchmark-major in Table I order. Policies whose name
-// fully round-trips through core.ParsePolicy (lazy, periodic — the
-// figure policies) are rebuilt fresh per cell, so stateful policies
-// never share state across the grid; anything the name cannot faithfully
-// reproduce (custom configurations, custom policy types) runs as a
-// shared value, like it always did.
-func (r *Runner) Figure(a Arch, threadCounts []int, params core.Params, policy core.Policy, benchNames []string) ([]SampledRow, error) {
+// every thread count under the named policy ("lazy", "periodic(250)")
+// with the paper's default W and H. The grid is a sweep.Spec whose cells
+// run on the runner's shared engine, so every figure reuses the
+// baselines of the others. Records come in the spec's cell order:
+// benchmark-major, in Table I order when benchNames is nil.
+func (r *Runner) Figure(a Arch, threadCounts []int, policy string, benchNames []string) ([]sweep.Record, error) {
 	if benchNames == nil {
 		benchNames = bench.Names()
 	}
-	name := policy.Name()
-	var value core.Policy
-	if rebuilt, err := core.ParsePolicy(name); err != nil || !reflect.DeepEqual(rebuilt, policy) {
-		// The textual name does not reconstruct this exact policy
-		// (unregistered custom type, non-default configuration, or
-		// carried-over run state) — pass the caller's value through
-		// rather than silently substituting the default build.
-		value = policy
+	spec := sweep.Spec{
+		Scale:      r.Scale,
+		Benchmarks: benchNames,
+		Archs:      []string{string(a)},
+		Threads:    threadCounts,
+		Policies:   []string{policy},
+		Seeds:      []uint64{r.Seed},
 	}
-	reqs := make([]engine.Request, 0, len(benchNames)*len(threadCounts))
-	for _, bn := range benchNames {
-		for _, tc := range threadCounts {
-			req := r.request(bn, a, tc)
-			req.Params = params
-			req.Policy = name
-			req.PolicyValue = value
-			reqs = append(reqs, req)
-		}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	rows := make([]SampledRow, 0, len(reqs))
+	cells := spec.Cells()
+	reqs := make([]engine.Request, len(cells))
+	for i, c := range cells {
+		reqs[i] = c.Request(spec)
+	}
+	recs := make([]sweep.Record, 0, len(cells))
 	for rep, err := range r.eng.RunAll(r.context(), reqs) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, RowOf(rep))
+		recs = append(recs, sweep.RecordOf(cells[len(recs)], spec, rep))
 	}
-	return rows, nil
-}
-
-// Averages aggregates rows per thread count: mean error, mean wall
-// speedup and geometric-mean detail speedup (the paper reports averages
-// per thread count in Figures 7-10).
-type Averages struct {
-	Threads        int
-	MeanErrPct     float64
-	MaxErrPct      float64
-	MeanSpeedupW   float64
-	GeoSpeedupDet  float64
-	MeanDetailFrac float64
-}
-
-// Aggregate folds per-run metrics into the averages the paper reports for
-// a group of runs: mean and max error, mean wall speedup, geometric-mean
-// detail speedup and mean detail fraction. All slices must have the same
-// length (one entry per run). It is shared by the figure averages here and
-// the sweep engine's campaign summaries.
-func Aggregate(errPct, wallSpeedup, detSpeedup, detailFrac []float64) Averages {
-	maxErr := 0.0
-	for _, e := range errPct {
-		if e > maxErr {
-			maxErr = e
-		}
-	}
-	return Averages{
-		MeanErrPct:     stats.Mean(errPct),
-		MaxErrPct:      maxErr,
-		MeanSpeedupW:   stats.Mean(wallSpeedup),
-		GeoSpeedupDet:  stats.GeoMean(detSpeedup),
-		MeanDetailFrac: stats.Mean(detailFrac),
-	}
-}
-
-// AverageByThreads folds figure rows into per-thread-count averages, in
-// ascending thread-count order — the column order of RenderSampled.
-func AverageByThreads(rows []SampledRow) []Averages {
-	byT := map[int][]SampledRow{}
-	for _, row := range rows {
-		byT[row.Threads] = append(byT[row.Threads], row)
-	}
-	var out []Averages
-	for _, t := range slices.Sorted(maps.Keys(byT)) {
-		group := byT[t]
-		var errs, wall, det, frac []float64
-		for _, row := range group {
-			errs = append(errs, row.ErrPct)
-			wall = append(wall, row.SpeedupWall)
-			det = append(det, row.SpeedupDetail)
-			frac = append(frac, row.DetailFraction)
-		}
-		avg := Aggregate(errs, wall, det, frac)
-		avg.Threads = t
-		out = append(out, avg)
-	}
-	return out
+	return recs, nil
 }

@@ -13,12 +13,12 @@ import (
 	"taskpoint/internal/core"
 	"taskpoint/internal/engine"
 	"taskpoint/internal/obs"
-	"taskpoint/internal/results"
 	"taskpoint/internal/stats"
 )
 
 // Record is one completed cell, as streamed to the JSONL output. It is the
-// durable form of results.SampledRow: flat, self-identifying (Key) and
+// one flat form of a cell — sweeps, the campaign store and the paper's
+// figures (internal/results) all read it: self-identifying (Key) and
 // stable across interrupted campaigns.
 type Record struct {
 	// Key is Cell.Key() — the resume identity.
@@ -73,7 +73,6 @@ type Record struct {
 // payload the campaign store persists under a cell's content address.
 func RecordOf(cell Cell, spec Spec, rep engine.Report) Record {
 	params := spec.Params()
-	row := results.RowOf(rep)
 	rec := Record{
 		Key:            cell.Key(),
 		Bench:          cell.Bench,
@@ -84,25 +83,25 @@ func RecordOf(cell Cell, spec Spec, rep engine.Report) Record {
 		Scale:          spec.Scale,
 		W:              params.W,
 		H:              params.H,
-		ErrPct:         row.ErrPct,
-		SpeedupWall:    row.SpeedupWall,
-		SpeedupDetail:  row.SpeedupDetail,
-		DetailFraction: row.DetailFraction,
-		SampledCycles:  row.SampledCycles,
-		DetailedCycles: row.DetailedCycles,
-		SampledWallMS:  float64(row.SampledWall.Microseconds()) / 1e3,
-		DetailedWallMS: float64(row.DetailedWall.Microseconds()) / 1e3,
-		Sampler:        row.Sampler,
+		ErrPct:         rep.ErrPct,
+		SpeedupWall:    rep.SpeedupWall,
+		SpeedupDetail:  rep.SpeedupDetail,
+		DetailFraction: rep.DetailFraction,
+		SampledCycles:  rep.Sampled.Cycles,
+		DetailedCycles: rep.Detailed.Cycles,
+		SampledWallMS:  float64(rep.SampledWall.Microseconds()) / 1e3,
+		DetailedWallMS: float64(rep.DetailedWall.Microseconds()) / 1e3,
+		Sampler:        rep.Sampler,
 	}
-	if c := row.Confidence; c != nil {
+	if c := rep.Confidence; c != nil {
 		rec.EstTotalCycles = c.Estimate
 		rec.CILo = c.Lo
 		rec.CIHi = c.Hi
 		rec.CIRelWidth = c.RelWidth()
 		rec.CIStrata = c.Strata
 		rec.CISampled = c.Sampled
-		rec.DetailedTaskCycles = row.DetailedTaskCycles
-		rec.CICovered = c.Covers(row.DetailedTaskCycles)
+		rec.DetailedTaskCycles = rep.DetailedTaskCycles
+		rec.CICovered = c.Covers(rep.DetailedTaskCycles)
 	}
 	return rec
 }
@@ -354,18 +353,17 @@ func Summarize(recs []Record) []Summary {
 				}
 			}
 		}
-		avg := results.Aggregate(errsPct, wall, det, frac)
 		out = append(out, Summary{
 			Arch:             k.arch,
 			Policy:           k.policy,
 			Threads:          k.threads,
 			Cells:            len(group),
-			MeanErrPct:       avg.MeanErrPct,
-			MaxErrPct:        avg.MaxErrPct,
+			MeanErrPct:       stats.Mean(errsPct),
+			MaxErrPct:        maxErr,
 			MaxErrBench:      maxBench,
-			MeanSpeedupWall:  avg.MeanSpeedupW,
-			GeoSpeedupDetail: avg.GeoSpeedupDet,
-			MeanDetailFrac:   avg.MeanDetailFrac,
+			MeanSpeedupWall:  stats.Mean(wall),
+			GeoSpeedupDetail: stats.GeoMean(det),
+			MeanDetailFrac:   stats.Mean(frac),
 			CICells:          len(ciw),
 			MeanCIRelWidth:   stats.Mean(ciw),
 			CICovered:        ciCovered,

@@ -1,10 +1,10 @@
 // Package sweep is the design-space sweep engine: it expands a declarative
 // specification (benchmarks × architectures × thread counts × sampling
 // policies × seeds) into a campaign of sampled-vs-detailed comparisons,
-// shards the runs across a bounded worker pool reusing the evaluation
-// Runner's cached detailed baselines, and streams one JSONL record per
-// completed cell so campaigns can be interrupted, resumed and
-// post-processed.
+// shards the runs across a bounded worker pool of the unified experiment
+// engine (each detailed baseline computed once per campaign), and streams
+// one JSONL record per completed cell so campaigns can be interrupted,
+// resumed and post-processed.
 //
 // The paper's own evaluation is such a campaign — 19 benchmarks × two
 // Table II architectures × several thread counts × two resampling policies

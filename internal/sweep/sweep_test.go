@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"taskpoint/internal/arch"
 	"taskpoint/internal/obs"
-	"taskpoint/internal/results"
 )
 
 // testSpec is a tiny two-benchmark space that still spans every dimension.
@@ -71,7 +71,7 @@ func TestSpecCells(t *testing.T) {
 		seen[c.Key()] = true
 	}
 	// Short arch names canonicalise: "hp" must expand to the full name.
-	if cells[0].Arch != results.HighPerf {
+	if cells[0].Arch != arch.HighPerf {
 		t.Errorf("arch not canonicalised: %v", cells[0].Arch)
 	}
 	// Policies canonicalise to Policy.Name form.

@@ -6,42 +6,44 @@
 package taskpoint_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"taskpoint"
 	"taskpoint/internal/stats"
 )
 
-// plainSizeClassRun runs the §V-B size-class sampler (lazy) and returns
-// its error and detailed-instance count — the budget reference.
-func plainSizeClassRun(t *testing.T, name string, scale float64, seed uint64, threads int) (errPct float64, detailed int, det *taskpoint.Result) {
+// runCell runs one high-performance cell on eng. The engine caches the
+// detailed reference, so the plain and stratified runs of one seed share
+// it.
+func runCell(t *testing.T, eng *taskpoint.Engine, name string, scale float64, seed uint64, threads int, policy string, params taskpoint.Params) taskpoint.Report {
 	t.Helper()
-	prog := taskpoint.Benchmark(name, scale, seed)
-	cfg := taskpoint.HighPerf(threads)
-	det, err := taskpoint.SimulateDetailed(cfg, prog)
+	rep, err := eng.Run(context.Background(), taskpoint.Request{
+		Workload: name, Arch: "hp", Threads: threads, Scale: scale, Seed: seed,
+		Policy: policy, Params: params,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := taskpoint.DefaultParams()
-	params.SizeClasses = true
-	samp, st, err := taskpoint.SimulateSampled(cfg, prog, params, taskpoint.LazyPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return taskpoint.ErrorPct(samp, det), st.DetailedStarted, det
+	return rep
 }
 
-// stratifiedRun runs the stratified policy at budget B against the same
-// detailed reference.
-func stratifiedRun(t *testing.T, name string, scale float64, seed uint64, threads, budget int, det *taskpoint.Result) (errPct float64, conf taskpoint.Confidence) {
+// plainSizeClassRun runs the §V-B size-class sampler (lazy) and returns
+// its error and detailed-instance count — the budget reference.
+func plainSizeClassRun(t *testing.T, eng *taskpoint.Engine, name string, scale float64, seed uint64, threads int) (errPct float64, detailed int) {
 	t.Helper()
-	prog := taskpoint.Benchmark(name, scale, seed)
-	cfg := taskpoint.HighPerf(threads)
-	res, _, conf, err := taskpoint.SimulateStratified(cfg, prog, taskpoint.DefaultParams(), budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return taskpoint.ErrorPct(res, det), conf
+	params := taskpoint.DefaultParams()
+	params.SizeClasses = true
+	rep := runCell(t, eng, name, scale, seed, threads, "lazy", params)
+	return rep.ErrPct, rep.Sampler.DetailedStarted
+}
+
+// stratifiedRun runs the stratified policy at budget B (size-class
+// histories implied) against the same detailed reference.
+func stratifiedRun(t *testing.T, eng *taskpoint.Engine, name string, scale float64, seed uint64, threads, budget int) taskpoint.Report {
+	t.Helper()
+	return runCell(t, eng, name, scale, seed, threads, fmt.Sprintf("stratified(%d)", budget), taskpoint.Params{})
 }
 
 // TestStratifiedBeatsPlainOnDedup: dedup is the paper's poster child for
@@ -51,9 +53,10 @@ func stratifiedRun(t *testing.T, name string, scale float64, seed uint64, thread
 // sampler on every seed.
 func TestStratifiedBeatsPlainOnDedup(t *testing.T) {
 	const scale, threads = 1.0 / 32, 8
+	eng := taskpoint.NewEngine()
 	for _, seed := range []uint64{1, 2, 3, 42} {
-		plainErr, detailed, det := plainSizeClassRun(t, "dedup", scale, seed, threads)
-		stratErr, _ := stratifiedRun(t, "dedup", scale, seed, threads, detailed, det)
+		plainErr, detailed := plainSizeClassRun(t, eng, "dedup", scale, seed, threads)
+		stratErr := stratifiedRun(t, eng, "dedup", scale, seed, threads, detailed).ErrPct
 		if stratErr > plainErr {
 			t.Errorf("seed %d: stratified error %.2f%% > plain size-class error %.2f%% at equal budget %d",
 				seed, stratErr, plainErr, detailed)
@@ -67,10 +70,11 @@ func TestStratifiedBeatsPlainOnDedup(t *testing.T) {
 // equal per-seed budgets.
 func TestStratifiedBeatsPlainOnFreqmine(t *testing.T) {
 	const scale, threads = 1.0 / 8, 8
+	eng := taskpoint.NewEngine()
 	var plainErrs, stratErrs []float64
 	for _, seed := range []uint64{1, 3, 5, 6, 7} {
-		plainErr, detailed, det := plainSizeClassRun(t, "freqmine", scale, seed, threads)
-		stratErr, _ := stratifiedRun(t, "freqmine", scale, seed, threads, detailed, det)
+		plainErr, detailed := plainSizeClassRun(t, eng, "freqmine", scale, seed, threads)
+		stratErr := stratifiedRun(t, eng, "freqmine", scale, seed, threads, detailed).ErrPct
 		plainErrs = append(plainErrs, plainErr)
 		stratErrs = append(stratErrs, stratErr)
 	}
@@ -103,19 +107,12 @@ func TestStratifiedConfidenceCoversTruth(t *testing.T) {
 		{"dedup", 1.0 / 32, 150, 8},
 		{"freqmine", 1.0 / 8, 160, 8},
 	}
+	eng := taskpoint.NewEngine()
 	for _, tc := range cases {
 		for _, seed := range []uint64{1, 2, 3, 4, 5, 42} {
-			prog := taskpoint.Benchmark(tc.bench, tc.scale, seed)
-			cfg := taskpoint.HighPerf(tc.threads)
-			det, err := taskpoint.SimulateDetailed(cfg, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, conf, err := taskpoint.SimulateStratified(cfg, prog, taskpoint.DefaultParams(), tc.budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trueTotal := det.TotalTaskCycles()
+			rep := stratifiedRun(t, eng, tc.bench, tc.scale, seed, tc.threads, tc.budget)
+			conf := rep.Confidence
+			trueTotal := rep.DetailedTaskCycles
 			if !conf.Covers(trueTotal) {
 				t.Errorf("%s seed %d: true total %.4g outside 95%% CI [%.4g, %.4g] (estimate %.4g)",
 					tc.bench, seed, trueTotal, conf.Lo, conf.Hi, conf.Estimate)
@@ -126,9 +123,9 @@ func TestStratifiedConfidenceCoversTruth(t *testing.T) {
 			if conf.Strata < 2 {
 				t.Errorf("%s seed %d: only %d strata", tc.bench, seed, conf.Strata)
 			}
-			if conf.Population != prog.NumTasks() {
+			if conf.Population != rep.Program.NumTasks() {
 				t.Errorf("%s seed %d: population %d, want %d instances",
-					tc.bench, seed, conf.Population, prog.NumTasks())
+					tc.bench, seed, conf.Population, rep.Program.NumTasks())
 			}
 		}
 	}

@@ -320,31 +320,6 @@ func SimulateSampled(cfg Config, prog *Program, params Params, policy Policy) (*
 	return res, sampler.Stats(), nil
 }
 
-// SimulateStratified runs prog under two-phase stratified sampling with a
-// detailed budget of b task instances and returns, besides the result and
-// sampler statistics, the stratified estimate of the program's total task
-// cycles with its 95% confidence interval. Size-class histories are
-// implied, and stratum populations are prescanned from prog so the budget
-// allocation uses exact sizes. Compare Confidence against
-// Result.TotalTaskCycles() of a detailed reference to check coverage.
-func SimulateStratified(cfg Config, prog *Program, params Params, b int) (*Result, SamplerStats, Confidence, error) {
-	pol, err := strata.New(strata.DefaultConfig(b))
-	if err != nil {
-		return nil, SamplerStats{}, Confidence{}, err
-	}
-	pol.Prescan(prog)
-	params.SizeClasses = true
-	sampler, err := core.New(params, pol)
-	if err != nil {
-		return nil, SamplerStats{}, Confidence{}, err
-	}
-	res, err := sim.Simulate(cfg, prog, sampler)
-	if err != nil {
-		return nil, SamplerStats{}, Confidence{}, err
-	}
-	return res, sampler.Stats(), pol.Confidence(), nil
-}
-
 // SimulateWith runs prog under a custom Controller, for users implementing
 // their own sampling policies on top of the simulator.
 func SimulateWith(cfg Config, prog *Program, ctrl Controller) (*Result, error) {
