@@ -279,7 +279,7 @@ func fatal(err error) {
 		fmt.Fprintf(os.Stderr, "\nvalid architectures:\n%s", arch.Listing())
 	}
 	if errors.Is(err, bench.ErrUnknownName) {
-		fmt.Fprintln(os.Stderr, "\nunknown scenario family; valid families: run 'tracegen -list'")
+		fmt.Fprintln(os.Stderr, "\nunknown scenario family; valid families: run 'taskpoint -list'")
 	}
 	os.Exit(1)
 }

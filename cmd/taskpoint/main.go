@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -37,7 +38,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "workload generation seed")
 		w         = flag.Int("W", 2, "warm-up instances per thread")
 		h         = flag.Int("H", 4, "sample history size per task type")
-		list      = flag.Bool("list", false, "list benchmarks and exit")
+		list      = flag.Bool("list", false, "list benchmark names and gen: scenario families, then exit")
 		tracePath = flag.String("trace", "", "append a flight-recorder JSONL trace of the run to this file")
 		timeline  = flag.String("timeline", "", "write the simulated per-core task schedule as Chrome trace-event JSON (open in Perfetto)")
 		quiet     = flag.Bool("quiet", false, "suppress diagnostic notes on stderr")
@@ -45,9 +46,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, n := range taskpoint.Benchmarks() {
-			fmt.Println(n)
-		}
+		printNames(os.Stdout)
 		return
 	}
 
@@ -85,10 +84,7 @@ func main() {
 			os.Exit(1)
 		case errors.Is(err, taskpoint.ErrUnknownName):
 			fmt.Fprintf(os.Stderr, "taskpoint: %v\n\nvalid -bench values:\n", err)
-			for _, n := range taskpoint.Benchmarks() {
-				fmt.Fprintf(os.Stderr, "  %s\n", n)
-			}
-			fmt.Fprintln(os.Stderr, "  gen:FAMILY(knob=value,...)  (see tracegen -list)")
+			printNames(os.Stderr)
 			os.Exit(1)
 		default:
 			fatal(err)
@@ -148,6 +144,21 @@ func main() {
 			conf.Estimate, conf.Lo, conf.Hi, 100*conf.RelWidth()/2, conf.Strata, conf.Sampled, conf.Calibration)
 		fmt.Printf("           detailed reference total %.4g is %s the interval\n", trueTotal, inside)
 	}
+}
+
+// printNames lists every valid -bench value: the Table I registry and
+// the generator's scenario families with their spec grammar.
+func printNames(w io.Writer) {
+	fmt.Fprintln(w, "Table I benchmarks:")
+	for _, n := range taskpoint.Benchmarks() {
+		fmt.Fprintf(w, "  %s\n", n)
+	}
+	fmt.Fprintln(w, "\nGenerated scenario families (spec: \"gen:FAMILY(knob=value,...)\"):")
+	for _, f := range taskpoint.ScenarioFamilies() {
+		fmt.Fprintf(w, "  gen:%-10s %s\n", f.Name, f.Blurb)
+	}
+	fmt.Fprintln(w, "\nKnobs: tasks, width, depth, types, size (loguniform|fixed|bimodal|heavytail),")
+	fmt.Fprintln(w, "       mean, cv, phases, inputdep — e.g. gen:forkjoin(width=16,size=heavytail,inputdep=0.8)")
 }
 
 func writeTimeline(path string, rep taskpoint.Report) error {

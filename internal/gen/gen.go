@@ -17,7 +17,7 @@
 // "gen:family(knob=value,...)" grammar (see Parse); the package registers
 // a bench.Resolver for the "gen" scheme, so scenario names work anywhere a
 // Table I benchmark name does: bench.ByName, engine requests, sweep
-// campaigns, cmd/tracegen.
+// campaigns, cmd/taskpoint.
 package gen
 
 import (

@@ -169,7 +169,7 @@ func (sc *Scenario) Spec() string {
 // lookup-and-Build contract: Name is the canonical spec, Instances the
 // tasks knob, and the build function the seeded materialiser. Through it,
 // scenario specs work everywhere a Table I name does (engine requests,
-// sweep campaigns, cmd/tracegen).
+// sweep campaigns, cmd/taskpoint).
 func (sc *Scenario) BenchSpec() *bench.Spec {
 	return bench.NewSpec(sc.Spec(), len(sc.Family.typeNames(sc.Knobs)), sc.Knobs.Tasks,
 		sc.Family.Blurb, sc.build)

@@ -58,24 +58,6 @@ func Variance(xs []float64) float64 {
 // Stddev returns the population standard deviation of xs.
 func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
 // percentileSorted computes the percentile of already-sorted data.
 func percentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
@@ -158,56 +140,4 @@ func AbsPctError(measured, reference float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(measured-reference) / math.Abs(reference) * 100
-}
-
-// Online accumulates mean and variance incrementally (Welford's algorithm).
-// The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of accumulated values.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the current mean, or 0 if no values were added.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the current population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// SampleVariance returns the unbiased (n-1 denominator) sample variance,
-// for estimating a population's variance from a sample, or 0 if fewer
-// than two values were added. Compare Variance, the population variance.
-func (o *Online) SampleVariance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Stddev returns the current population standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
-
-// CoV returns the coefficient of variation (stddev/mean), or 0 if the mean
-// is zero.
-func (o *Online) CoV() float64 {
-	if o.mean == 0 {
-		return 0
-	}
-	return o.Stddev() / math.Abs(o.mean)
 }

@@ -51,46 +51,6 @@ func TestVarianceAndStddev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 10}, {25, 20}, {50, 30}, {75, 40}, {100, 50}, {10, 14},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if !almostEq(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("Percentile(nil) error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPercentileClampsRange(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	lo, _ := Percentile(xs, -10)
-	hi, _ := Percentile(xs, 200)
-	if lo != 1 || hi != 3 {
-		t.Errorf("clamped percentiles = %v, %v; want 1, 3", lo, hi)
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
 func TestBoxOf(t *testing.T) {
 	xs := make([]float64, 101)
 	for i := range xs {
@@ -157,84 +117,6 @@ func TestAbsPctError(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{3.5, -2, 0, 7, 7, 1.25, -0.5}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	if o.N() != len(xs) {
-		t.Errorf("N = %d, want %d", o.N(), len(xs))
-	}
-	if !almostEq(o.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Online.Mean = %v, batch %v", o.Mean(), Mean(xs))
-	}
-	if !almostEq(o.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Online.Variance = %v, batch %v", o.Variance(), Variance(xs))
-	}
-}
-
-func TestOnlineCoV(t *testing.T) {
-	var o Online
-	if o.CoV() != 0 {
-		t.Error("CoV of empty accumulator should be 0")
-	}
-	o.Add(10)
-	o.Add(10)
-	if o.CoV() != 0 {
-		t.Errorf("CoV of constant data = %v, want 0", o.CoV())
-	}
-}
-
-// Property: Online accumulation agrees with batch formulas for random data.
-func TestQuickOnlineAgreesWithBatch(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v) / 16
-		}
-		var o Online
-		for _, x := range xs {
-			o.Add(x)
-		}
-		scale := math.Max(1, math.Abs(Mean(xs)))
-		return almostEq(o.Mean(), Mean(xs), 1e-6*scale) &&
-			almostEq(o.Variance(), Variance(xs), 1e-4*math.Max(1, Variance(xs)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: percentiles are monotone in p and bounded by min/max.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []int16, p1, p2 uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		a := float64(p1 % 101)
-		b := float64(p2 % 101)
-		if a > b {
-			a, b = b, a
-		}
-		va, _ := Percentile(xs, a)
-		vb, _ := Percentile(xs, b)
-		mn, _ := Percentile(xs, 0)
-		mx, _ := Percentile(xs, 100)
-		return va <= vb+1e-9 && va >= mn-1e-9 && vb <= mx+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: NormalizePct output always has (approximately) zero mean.
 func TestQuickNormalizeZeroMean(t *testing.T) {
 	f := func(raw []uint8) bool {
@@ -275,33 +157,5 @@ func TestQuickBoxOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOnlineSampleVariance(t *testing.T) {
-	var o Online
-	if o.SampleVariance() != 0 {
-		t.Error("empty accumulator should report 0 sample variance")
-	}
-	o.Add(2)
-	if o.SampleVariance() != 0 {
-		t.Error("single value should report 0 sample variance")
-	}
-	for _, x := range []float64{4, 4, 4, 5, 5, 7} {
-		o.Add(x)
-	}
-	// Values {2,4,4,4,5,5,7}: mean 31/7, unbiased variance Σ(x-m)²/6.
-	xs := []float64{2, 4, 4, 4, 5, 5, 7}
-	m := Mean(xs)
-	var want float64
-	for _, x := range xs {
-		want += (x - m) * (x - m)
-	}
-	want /= float64(len(xs) - 1)
-	if got := o.SampleVariance(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("SampleVariance = %v, want %v", got, want)
-	}
-	if popWant := want * 6 / 7; math.Abs(o.Variance()-popWant) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", o.Variance(), popWant)
 	}
 }

@@ -63,44 +63,10 @@ type Breaker struct {
 	rng       uint64 // splitmix64 state for jitter
 }
 
-// BreakerOption configures a Breaker.
-type BreakerOption func(*Breaker)
-
-// WithThreshold sets how many consecutive failures open the circuit
-// (default 5, minimum 1).
-func WithThreshold(n int) BreakerOption {
-	return func(b *Breaker) {
-		if n >= 1 {
-			b.threshold = n
-		}
-	}
-}
-
-// WithBackoff sets the first cooldown and its cap (defaults 500ms, 30s).
-func WithBackoff(base, max time.Duration) BreakerOption {
-	return func(b *Breaker) {
-		if base > 0 {
-			b.base = base
-		}
-		if max >= b.base {
-			b.max = max
-		}
-	}
-}
-
-// WithClock substitutes the time source (tests).
-func WithClock(now func() time.Time) BreakerOption {
-	return func(b *Breaker) { b.now = now }
-}
-
-// WithJitterSeed seeds the jitter stream, making cooldowns reproducible.
-func WithJitterSeed(seed uint64) BreakerOption {
-	return func(b *Breaker) { b.rng = seed | 1 }
-}
-
-// NewBreaker wraps inner in a circuit breaker.
-func NewBreaker(inner Store, opts ...BreakerOption) *Breaker {
-	b := &Breaker{
+// NewBreaker wraps inner in a circuit breaker: 5 consecutive failures
+// open it, and cooldowns start at 500ms and double up to 30s.
+func NewBreaker(inner Store) *Breaker {
+	return &Breaker{
 		inner:     inner,
 		threshold: 5,
 		base:      500 * time.Millisecond,
@@ -108,10 +74,6 @@ func NewBreaker(inner Store, opts ...BreakerOption) *Breaker {
 		now:       time.Now,
 		rng:       0x9e3779b97f4a7c15,
 	}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
 }
 
 // Degraded reports whether the circuit is currently open or probing.

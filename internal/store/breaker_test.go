@@ -99,11 +99,12 @@ func (c *fakeClock) advance(d time.Duration) {
 const testAddr = "00000000000000000000000000000000000000000000000000000000000000aa"
 
 func newTestBreaker(inner Store, clock *fakeClock) *Breaker {
-	return NewBreaker(inner,
-		WithThreshold(3),
-		WithBackoff(time.Second, 8*time.Second),
-		WithClock(clock.now),
-		WithJitterSeed(1))
+	b := NewBreaker(inner)
+	b.threshold = 3
+	b.base, b.max = time.Second, 8*time.Second
+	b.now = clock.now
+	b.rng = 1
+	return b
 }
 
 // TestBreakerStaysClosedOnHealthyTraffic: misses and hits are success —

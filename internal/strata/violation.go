@@ -1,7 +1,5 @@
 package strata
 
-import "fmt"
-
 // ViolationClass names one way a sampled run can break the accuracy
 // contract the paper's speedup claim rests on. The estimator fuzzer
 // (internal/fuzz) hunts for scenarios exhibiting these, minimizes them and
@@ -65,19 +63,4 @@ func Classify(c *Confidence, chk Check) []ViolationClass {
 		out = append(out, Bias)
 	}
 	return out
-}
-
-// Describe renders one violation class with the cell's numbers — the
-// human-readable half of a fuzz log line.
-func Describe(v ViolationClass, c *Confidence, chk Check) string {
-	switch v {
-	case CoverageMiss:
-		return fmt.Sprintf("%s: detailed %.0f outside [%.0f, %.0f]", v, chk.DetailedTaskCycles, c.Lo, c.Hi)
-	case IntervalFloorMiss:
-		return fmt.Sprintf("%s: half-width below %.2f%% of estimate %.0f", v, 100*chk.MinRelErr, c.Estimate)
-	case Bias:
-		return fmt.Sprintf("%s: err %.2f%% over ceiling %.2f%%", v, chk.ErrPct, chk.ErrCeilingPct)
-	default:
-		return string(v)
-	}
 }

@@ -13,6 +13,10 @@
 // the same trace are bit-identical while different instances of a type can
 // differ (input dependence), exactly the property the paper's evaluation
 // relies on for dedup, freqmine and sparse-matrix-vector-multiplication.
+//
+// Programs exist only in memory. The benchmark registry and the scenario
+// generator rebuild one from its (name, scale, seed), so there is no trace
+// file format to write or read.
 package trace
 
 import (
